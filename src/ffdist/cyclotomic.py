@@ -198,6 +198,10 @@ class Cyclotomic:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a rational value equals the int or Fraction it holds, so it must
+        # hash like it too
+        if self.is_rational:
+            return hash(self.coeffs[0])
         return hash((self.p, self.coeffs))
 
     def __repr__(self) -> str:

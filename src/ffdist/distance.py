@@ -9,6 +9,15 @@ bounds() reproduces the full decomposition of the spectral B-part
 (main/auxiliary, then m1 + m2 + m3) term by term, with the m2 piece
 enumerated over explicit coordinate subsets so that its vanishing is an
 observed cancellation rather than a consequence of how we count subsets.
+
+Neither sum visits the spectrum one frequency at a time.  Shat_k^t(m) and
+A(m, t) depend on m only through its square class (the multiset of squared
+coordinates, i.e. the orbit of m under coordinate permutations and sign
+flips, which preserve both the sphere and the dot product), and B(m) with
+its m1/m2/m3 split depends on m only through its zero pattern.  So |Ehat|^2
+is first summed per square class and per zero pattern, and each transform
+is multiplied once per group.  By distributivity the grouped sums are the
+per-frequency sums, equal as exact values.
 """
 
 from __future__ import annotations
@@ -24,8 +33,8 @@ from .characters import CharacterTable, character_table
 from .cyclotomic import Cyclotomic
 from .fourier import PointSet, spectral_energy
 from .gf import DEFAULT_CAP, Field, FieldElement, Point, enumerate_vectors
-from .geometry import (SphereSpec, a_term, b_term, b_term_alpha_range, k_norm,
-                       sphere_ft)
+from .geometry import (SphereSpec, _square_class, a_term, b_term,
+                       b_term_alpha_range, k_norm, sphere_ft)
 
 
 def distance_set(E: PointSet, k: int) -> list[FieldElement]:
@@ -84,10 +93,31 @@ def nu_spectral(E: PointSet, t: FieldElement, k: int,
     spec = SphereSpec(k, t)
     mode = "brute" if t.is_zero else "closed"
     total = Cyclotomic.zero(f.p)
-    for m, e in energy.items():
-        if e:
-            total = total + sphere_ft(table, m, spec, mode, cap) * e
+    for m, e in _energy_by(energy, lambda m: _square_class(f, m)):
+        total = total + sphere_ft(table, m, spec, mode, cap) * e
     return (total * (f.q ** (2 * d))).rational_value()
+
+
+def _energy_by(energy: dict[Point, Cyclotomic], key) -> list[tuple[Point, Cyclotomic]]:
+    """(representative m, sum of |Ehat|^2 over its group) for each group of
+    frequencies with equal key(m), in order of first appearance.
+
+    Coefficients are summed as plain numbers; one Cyclotomic is built per
+    group.  Frequencies with zero energy are left out.
+    """
+    groups: dict = {}
+    for m, e in energy.items():
+        if not e:
+            continue
+        g = key(m)
+        if g not in groups:
+            groups[g] = (m, e.p, list(e.coeffs))
+            continue
+        acc = groups[g][2]
+        for i, c in enumerate(e.coeffs):
+            if c:
+                acc[i] += c
+    return [(m, Cyclotomic(p, acc)) for m, p, acc in groups.values()]
 
 
 @dataclass(frozen=True)
@@ -189,9 +219,8 @@ def bounds(E: PointSet, t: FieldElement, k: int,
         energy = spectral_energy(E, cap)
 
     a_total = Cyclotomic.zero(f.p)
-    for m, e in energy.items():
-        if e:
-            a_total = a_total + e * a_term(table, m, t, k)
+    for m, e in _energy_by(energy, lambda m: _square_class(f, m)):
+        a_total = a_total + e * a_term(table, m, t, k)
     a_sum_abs = abs(a_total.to_complex())
     a_bound = 2 * 3**d * q ** (-(d - 1) / 2) * len(E)
 
@@ -201,30 +230,33 @@ def bounds(E: PointSet, t: FieldElement, k: int,
     m1 = Cyclotomic.zero(f.p)
     m2 = Cyclotomic.zero(f.p)
     m3 = Cyclotomic.zero(f.p)
-    for m, e in energy.items():
-        if not e:
-            continue
+    for m, e in _energy_by(energy, lambda m: tuple(c == 0 for c in m.idx)):
         b_sum = b_sum + e * b_term(f, m, k)
         b_main = b_main + e * b_term_alpha_range(f, m, 0, d)
         b_aux = b_aux - e * b_term_alpha_range(f, m, k, d)
+        # the integer weight of this zero pattern in each of m1, m2, m3
+        c1 = c2 = c3 = 0
         w = m.zero_count()
         if w == d:
             # m = 0: every subset I has Z(m_I) = |I|
             for beta in range(d + 1):
                 for _ in combinations(range(d), beta):
-                    m3 = m3 + e * (q - 1) ** beta
-            continue
-        zero_pos = {i for i, c in enumerate(m.idx) if c == 0}
-        for beta in range(w + 1):
-            weight = (q - 1) ** beta
-            for r in range(d - w + 1):
-                sign = (-1) ** r
-                for subset in combinations(range(d), beta + r):
-                    if len(zero_pos.intersection(subset)) == beta:
-                        if beta < w:
-                            m1 = m1 + e * (weight * sign)
-                        else:
-                            m2 = m2 + e * (weight * sign)
+                    c3 += (q - 1) ** beta
+        else:
+            zero_pos = {i for i, c in enumerate(m.idx) if c == 0}
+            for beta in range(w + 1):
+                weight = (q - 1) ** beta
+                for r in range(d - w + 1):
+                    sign = (-1) ** r
+                    for subset in combinations(range(d), beta + r):
+                        if len(zero_pos.intersection(subset)) == beta:
+                            if beta < w:
+                                c1 += weight * sign
+                            else:
+                                c2 += weight * sign
+        m1 = m1 + e * c1
+        m2 = m2 + e * c2
+        m3 = m3 + e * c3
 
     refs = {
         "b_aux_ref": q ** (-k) * len(E),

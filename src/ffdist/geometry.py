@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, List, Sequence
 
 from .characters import CharacterTable
@@ -246,8 +245,3 @@ def sphere_ft(table: CharacterTable, m: Point, spec: SphereSpec, mode: str = "cl
         cached = total * Fraction(1, f.q ** (d + 1))
         table.sphere_cache[key] = cached
     return cached
-
-
-def subsets_by_size(d: int, size: int) -> list[tuple[int, ...]]:
-    """0-based coordinate subsets of the given size, lexicographic."""
-    return list(combinations(range(d), size))

@@ -159,6 +159,10 @@ def threshold_sweep(field: Field, config: ExperimentConfig,
     return records, summaries
 
 
+class CheckFailed(Exception):
+    """An exact cross-check disagreed; main() reports it and exits 1."""
+
+
 def _cross_check_coverage(field: Field, E: PointSet, k: int, found: set[int],
                           cap: int) -> None:
     # the spectral pair count must agree with direct coverage membership
@@ -167,7 +171,7 @@ def _cross_check_coverage(field: Field, E: PointSet, k: int, found: set[int],
     for t in field.elements:
         count = nu_spectral(E, t, k, table, energy, cap)
         if (count > 0) != (t.index in found):
-            raise AssertionError(
+            raise CheckFailed(
                 f"spectral/direct coverage mismatch at t={t.index}: nu={count}")
 
 
@@ -499,12 +503,26 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         raise ValueError("--config must contain a JSON object")
     explicit = {a.lstrip("-").split("=", 1)[0].replace("-", "_")
                 for a in argv if a.startswith("--")}
+    subcommands = next(a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in subcommands.choices[args.command]._actions
+               if a.default is not argparse.SUPPRESS}  # all but --help
     for key, value in overrides.items():
         attr = key.replace("-", "_")
         if attr == "format":
             attr = "fmt"
-        if not hasattr(args, attr):
+        action = actions.get(attr)
+        if action is None:
             raise ValueError(f"unknown config field {key!r}")
+        # the type the flag would have after argparse: its converter, or
+        # bool for a switch; JSON true/false are not accepted as ints
+        expected = action.type or (bool if action.nargs == 0 else str)
+        if type(value) is not expected:
+            raise ValueError(f"config field {key!r} must be {expected.__name__}, "
+                             f"got {json.dumps(value)}")
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"config field {key!r} must be one of "
+                             f"{', '.join(map(str, action.choices))}, got {value!r}")
         if attr not in explicit:
             setattr(args, attr, value)
 
@@ -524,6 +542,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CheckFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     text = render_output(payload, rows, args.fmt)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

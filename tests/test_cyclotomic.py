@@ -69,6 +69,14 @@ class TestArithmetic:
         for j in range(7):
             assert a.times_root(j) == a * Cyclotomic.root(7, j)
 
+    def test_hash_agrees_with_eq(self):
+        assert Cyclotomic.one(5) == 1
+        assert Cyclotomic.one(5) in {1}
+        assert Cyclotomic.from_rational(7, Fraction(3, 4)) in {Fraction(3, 4)}
+        assert Cyclotomic.zero(3) in {0}
+        assert hash(Cyclotomic(3, (0, 1, 1))) == hash(-1)
+        assert len({Cyclotomic.root(5, 1), Cyclotomic(5, (0, 1, 0, 0, 0))}) == 1
+
     def test_pow(self):
         g = Cyclotomic(3, (0, 1, -1))
         assert g**2 == -3

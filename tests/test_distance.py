@@ -1,12 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ffdist.characters import character_table
-from ffdist.distance import (alternating_binomial_sum, bounds, distance_set,
-                             nu, nu_direct_all, nu_spectral, sharpness_example)
+from ffdist.cyclotomic import Cyclotomic
+from ffdist.distance import (BoundReport, alternating_binomial_sum, bounds,
+                             distance_set, nu, nu_direct_all, nu_spectral,
+                             sharpness_example)
 from ffdist.fourier import PointSet, spectral_energy
+from ffdist.geometry import (SphereSpec, a_term, b_term, b_term_alpha_range,
+                             sphere_ft)
 from ffdist.gf import (Point, factor_prime_power, make_field, point_from_index)
 
 
@@ -193,6 +200,100 @@ def _a_contrib(table, E, t, k, energy):
         if e:
             total += (e * a_term(table, m, t, k)).to_complex().real
     return total
+
+
+# ---------------------------------------------------------------------------
+# per-frequency reference loops: nu_spectral and bounds visit the spectrum
+# one square class / zero pattern at a time, and must agree with these
+# straightforward sums over every frequency as exact values
+# ---------------------------------------------------------------------------
+
+def _reference_nu_spectral(E, t, k, table, energy):
+    f = E.field
+    spec = SphereSpec(k, t)
+    mode = "brute" if t.is_zero else "closed"
+    total = Cyclotomic.zero(f.p)
+    for m, e in energy.items():
+        if e:
+            total = total + sphere_ft(table, m, spec, mode) * e
+    return (total * (f.q ** (2 * E.d))).rational_value()
+
+
+def _reference_bounds(E, t, k, table, energy):
+    f = E.field
+    d = E.d
+    q = f.q
+    zero = Cyclotomic.zero(f.p)
+    a_total = b_sum = b_main = b_aux = m1 = m2 = m3 = zero
+    for m, e in energy.items():
+        if not e:
+            continue
+        a_total = a_total + e * a_term(table, m, t, k)
+        b_sum = b_sum + e * b_term(f, m, k)
+        b_main = b_main + e * b_term_alpha_range(f, m, 0, d)
+        b_aux = b_aux - e * b_term_alpha_range(f, m, k, d)
+        w = m.zero_count()
+        if w == d:
+            for beta in range(d + 1):
+                for _ in combinations(range(d), beta):
+                    m3 = m3 + e * (q - 1) ** beta
+            continue
+        zero_pos = {i for i, c in enumerate(m.idx) if c == 0}
+        for beta in range(w + 1):
+            weight = (q - 1) ** beta
+            for r in range(d - w + 1):
+                sign = (-1) ** r
+                for subset in combinations(range(d), beta + r):
+                    if len(zero_pos.intersection(subset)) == beta:
+                        if beta < w:
+                            m1 = m1 + e * (weight * sign)
+                        else:
+                            m2 = m2 + e * (weight * sign)
+    return BoundReport(
+        t=t, k=k, size=len(E),
+        a_sum_abs=abs(a_total.to_complex()),
+        a_bound=2 * 3**d * q ** (-(d - 1) / 2) * len(E),
+        b_sum=b_sum.rational_value(), b_main=b_main.rational_value(),
+        b_aux=b_aux.rational_value(), b_m1=m1.rational_value(),
+        b_m2=m2.rational_value(), b_m3=m3.rational_value(),
+        refs={
+            "b_aux_ref": q ** (-k) * len(E),
+            "b_m1_ref": q ** (-d - 1) * len(E) ** 2,
+            "b_m3_ref": q ** (-d) * len(E) ** 2,
+            "b_lower_ref": q ** (-d) * len(E) ** 2 - q ** (-k) * len(E),
+        },
+    )
+
+
+# (9, 3) is left out: its 729 frequencies make one example take seconds
+REFERENCE_SHAPES = [(3, 2), (3, 3), (5, 2), (5, 3), (9, 2)]
+
+
+@st.composite
+def small_sets(draw):
+    q, d = draw(st.sampled_from(REFERENCE_SHAPES))
+    n = q**d
+    indices = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                            unique=True))
+    f = field_for(q)
+    return PointSet(f, d, [point_from_index(f, d, i) for i in indices])
+
+
+class TestGroupedSpectrum:
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(E=small_sets())
+    def test_matches_per_frequency_loops(self, E):
+        f = E.field
+        table = character_table(f)
+        energy = spectral_energy(E)
+        for k in range(1, E.d + 1):
+            for t in f.elements:
+                assert (nu_spectral(E, t, k, table, energy)
+                        == _reference_nu_spectral(E, t, k, table, energy))
+                if not t.is_zero:
+                    assert (bounds(E, t, k, table, energy)
+                            == _reference_bounds(E, t, k, table, energy))
 
 
 class TestSharpness:

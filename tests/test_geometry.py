@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from ffdist.characters import character_table
+from ffdist.characters import CharacterTable, character_table
 from ffdist.cyclotomic import Cyclotomic
-from ffdist.geometry import (IndexSubset, SphereSpec, a_term, b_term, k_norm,
-                             lemma31_sum, slice_set, sphere_ft, sphere_points,
-                             stratum, stratum_sum_brute)
+from ffdist.geometry import (IndexSubset, SphereSpec, _square_class, a_term,
+                             b_term, k_norm, lemma31_sum, slice_set, sphere_ft,
+                             sphere_points, stratum, stratum_sum_brute)
 from ffdist.gf import (Point, enumerate_vectors, factor_prime_power,
                        make_field, point_from_index)
 
@@ -208,3 +208,28 @@ class TestSphereTransform:
         ft = dft_indicator(pts)
         for m in enumerate_vectors(f, 2):
             assert sphere_ft(table, m, spec, "closed") == ft[m]
+
+
+class TestSquareClassInvariance:
+    """The transform is constant on square classes, which is what lets
+    nu_spectral and bounds sum |Ehat|^2 per class before multiplying."""
+
+    @pytest.mark.parametrize("q,d", [(3, 3), (5, 2), (9, 2)])
+    def test_constant_on_each_class(self, q, d):
+        f, table = setup_q(q)
+        first = {}
+        for m in enumerate_vectors(f, d):
+            first.setdefault(_square_class(f, m), m)
+        for k in range(1, d + 1):
+            for t in f.elements:
+                spec = SphereSpec(k, t)
+                for m in enumerate_vectors(f, d):
+                    rep = first[_square_class(f, m)]
+                    assert sphere_ft(table, m, spec, "brute") == \
+                        sphere_ft(table, rep, spec, "brute")
+                    if t.is_zero:
+                        continue
+                    # fresh tables: the closed form's cache is keyed by the
+                    # class, so a shared table would return rep's value
+                    assert sphere_ft(CharacterTable(f), m, spec, "closed") == \
+                        sphere_ft(CharacterTable(f), rep, spec, "closed")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ffdist import harness
 from ffdist.gf import make_field
 from ffdist.harness import (ExperimentConfig, build_parser, main, sample_set,
                             substream_id, threshold_sweep)
@@ -210,12 +211,57 @@ class TestConfigFile:
         code, _ = run_cli(["verify-identities", "--config", str(cfg)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("overrides", [
+        {"d": "2", "k": 1, "size": 3},
+        {"d": 2, "k": True, "size": 3},
+        {"d": 2, "k": 1, "size": 3.0},
+        {"d": 2, "k": 1, "size": 3, "format": "xml"},
+        {"d": 2, "k": 1, "size": 3, "use-sharpness": 1},
+        {"d": 2, "k": 1, "size": 3, "func": "x"},
+    ])
+    def test_mistyped_field_rejected(self, overrides, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        code = main(["distance-set", "--q", "5", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_format_alias(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"q": 3, "format": "csv"}))
         code, out = run_cli(["verify-identities", "--config", str(cfg)], capsys)
         assert code == 0
         assert out.startswith("q,p,s,d,k,t,size,trial,metric,value")
+
+
+class TestCrossCheck:
+    # at seed 3 the 5% spectral cross-check fires on the one trial of size 4
+    ARGV = ["threshold-sweep", "--q", "3", "--d", "2", "--k", "1",
+            "--sizes", "4", "--trials", "1", "--seed", "3"]
+
+    def test_agreement_exits_0(self, monkeypatch, capsys):
+        calls = []
+        real = harness.nu_spectral
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "nu_spectral", counted)
+        code, _ = run_cli(self.ARGV, capsys)
+        assert code == 0
+        assert len(calls) == 3
+
+    def test_mismatch_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "nu_spectral", lambda *args, **kwargs: Fraction(0))
+        code = main(self.ARGV)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: spectral/direct coverage mismatch at t=0: nu=0\n"
 
 
 class TestDeterminism:
