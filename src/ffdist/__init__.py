@@ -8,32 +8,31 @@ from .characters import (CharacterTable, character_table, gauss_closed_form,
                          gauss_identities, gauss_sum, kloosterman,
                          run_identity_checks)
 from .cyclotomic import Cyclotomic
-from .distance import (BoundReport, NuReport, alternating_binomial_sum, bounds,
-                       distance_set, nu, nu_direct_all, nu_spectral,
+from .distance import (BoundReport, alternating_binomial_sum, bounds,
+                       distance_set, nu_direct_all, nu_spectral,
                        sharpness_example)
 from .fourier import (FourierTable, PointSet, dft, dft_indicator, inverse_dft,
                       plancherel_check, spectral_energy)
-from .geometry import (IndexSubset, SphereSpec, a_term, b_term, k_norm,
-                       lemma31_sum, slice_set, sphere_ft, sphere_points,
-                       stratum, stratum_sum_brute)
+from .geometry import (SphereSpec, a_term, b_term, k_norm, lemma31_sum,
+                       sphere_ft, sphere_points, stratum, stratum_sum_brute)
 from .gf import (Field, FieldElement, Point, enumerate_vectors,
-                 factor_prime_power, make_field, point_from_index, vector_ops)
+                 factor_prime_power, make_field, point_from_index)
 from .harness import (ExperimentConfig, SweepRecord, main, sample_set,
                       threshold_sweep)
 
 __all__ = [
     "BoundReport", "CharacterTable", "Cyclotomic", "ExperimentConfig",
-    "Field", "FieldElement", "FourierTable", "IndexSubset", "NuReport",
-    "Point", "PointSet", "SphereSpec", "SweepRecord",
+    "Field", "FieldElement", "FourierTable", "Point", "PointSet",
+    "SphereSpec", "SweepRecord",
     "a_term", "alternating_binomial_sum", "b_term", "bounds",
     "character_table", "dft", "dft_indicator", "distance_set",
     "enumerate_vectors", "factor_prime_power", "gauss_closed_form",
     "gauss_identities", "gauss_sum", "inverse_dft", "k_norm", "kloosterman",
-    "lemma31_sum", "main", "make_field", "nu", "nu_direct_all", "nu_spectral",
+    "lemma31_sum", "main", "make_field", "nu_direct_all", "nu_spectral",
     "plancherel_check", "point_from_index", "run_identity_checks",
-    "sample_set", "sharpness_example", "slice_set", "spectral_energy",
+    "sample_set", "sharpness_example", "spectral_energy",
     "sphere_ft", "sphere_points", "stratum", "stratum_sum_brute",
-    "threshold_sweep", "vector_ops",
+    "threshold_sweep",
 ]
 
 __version__ = "0.1.0"

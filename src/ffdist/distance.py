@@ -10,14 +10,18 @@ bounds() reproduces the full decomposition of the spectral B-part
 enumerated over explicit coordinate subsets so that its vanishing is an
 observed cancellation rather than a consequence of how we count subsets.
 
-Neither sum visits the spectrum one frequency at a time.  Shat_k^t(m) and
-A(m, t) depend on m only through its square class (the multiset of squared
-coordinates, i.e. the orbit of m under coordinate permutations and sign
-flips, which preserve both the sphere and the dot product), and B(m) with
-its m1/m2/m3 split depends on m only through its zero pattern.  So |Ehat|^2
-is first summed per square class and per zero pattern, and each transform
-is multiplied once per group.  By distributivity the grouped sums are the
+Neither sum visits the spectrum one frequency at a time.  Shat_k^t(m),
+A(m, t) and B(m) depend on m only through its square class (the multiset of
+squared coordinates, i.e. the orbit of m under coordinate permutations and
+sign flips, which preserve both the sphere and the dot product).  B and its
+m1/m2/m3 split depend on m only through its zero count, which the square
+class fixes (a squared coordinate is 0 exactly when the coordinate is).  So
+each call sums |Ehat|^2 once per square class and multiplies each transform
+and weight once per class.  By distributivity the grouped sums are the
 per-frequency sums, equal as exact values.
+
+The direct count and the distance set read the same index loop over
+E x E, which works on element indices and builds no objects per pair.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .cyclotomic import Cyclotomic
 from .fourier import PointSet, spectral_energy
 from .gf import DEFAULT_CAP, Field, FieldElement, Point, enumerate_vectors
 from .geometry import (SphereSpec, _square_class, a_term, b_term,
-                       b_term_alpha_range, k_norm, sphere_ft)
+                       b_term_alpha_range, sphere_ft)
 
 
 def distance_set(E: PointSet, k: int) -> list[FieldElement]:
@@ -45,37 +49,48 @@ def distance_set(E: PointSet, k: int) -> list[FieldElement]:
     return [E.field.elements[i] for i in sorted(found)]
 
 
-def _distance_indices(E: PointSet, k: int) -> set[int]:
+def _k_norm_rows(E: PointSet, k: int):
+    """For each x in E, the list of k-norm indices of x - y over every y in E.
+
+    The one direct pair loop: it works on element indices through the
+    field's tables and builds no Point or FieldElement per pair.
+    """
     f = E.field
-    d = E.d
-    if not 1 <= k <= d:
-        raise ValueError(f"k must lie in [1, {d}], got {k}")
+    if not 1 <= k <= E.d:
+        raise ValueError(f"k must lie in [1, {E.d}], got {k}")
     add, mul, neg = f._add, f._mul, f._neg
     pts = [x.idx for x in E]
-    found: set[int] = set()
-    q = f.q
+    negs = [[neg[b] for b in y] for y in pts]
     for xi in pts:
-        for yi in pts:
+        row = []
+        for yn in negs:
             zeros = 0
             acc = 0
-            for a, b in zip(xi, yi):
-                c = add[a][neg[b]]
+            for a, b in zip(xi, yn):
+                c = add[a][b]
                 if c == 0:
                     zeros += 1
-                acc = add[acc][mul[c][c]]
-            found.add(acc if zeros <= k - 1 else 0)
-            if len(found) == q:
-                return found
+                else:
+                    acc = add[acc][mul[c][c]]
+            row.append(acc if zeros < k else 0)
+        yield row
+
+
+def _distance_indices(E: PointSet, k: int) -> set[int]:
+    q = E.field.q
+    found: set[int] = set()
+    for row in _k_norm_rows(E, k):
+        found.update(row)
+        if len(found) == q:
+            break
     return found
 
 
 def nu_direct_all(E: PointSet, k: int) -> Counter:
     """nu_E(t) for every t at once, by direct pair counting (index -> count)."""
-    f = E.field
-    counts: Counter = Counter({i: 0 for i in range(f.q)})
-    for x in E:
-        for y in E:
-            counts[k_norm(x - y, k).index] += 1
+    counts: Counter = Counter({i: 0 for i in range(E.field.q)})
+    for row in _k_norm_rows(E, k):
+        counts.update(row)
     return counts
 
 
@@ -93,23 +108,23 @@ def nu_spectral(E: PointSet, t: FieldElement, k: int,
     spec = SphereSpec(k, t)
     mode = "brute" if t.is_zero else "closed"
     total = Cyclotomic.zero(f.p)
-    for m, e in _energy_by(energy, lambda m: _square_class(f, m)):
+    for m, e in _energy_by(f, energy):
         total = total + sphere_ft(table, m, spec, mode, cap) * e
     return (total * (f.q ** (2 * d))).rational_value()
 
 
-def _energy_by(energy: dict[Point, Cyclotomic], key) -> list[tuple[Point, Cyclotomic]]:
-    """(representative m, sum of |Ehat|^2 over its group) for each group of
-    frequencies with equal key(m), in order of first appearance.
+def _energy_by(f: Field, energy: dict[Point, Cyclotomic]) -> list[tuple[Point, Cyclotomic]]:
+    """(representative m, sum of |Ehat|^2 over its square class) for each
+    square class of frequencies, in order of first appearance.
 
     Coefficients are summed as plain numbers; one Cyclotomic is built per
-    group.  Frequencies with zero energy are left out.
+    class.  Frequencies with zero energy are left out.
     """
     groups: dict = {}
     for m, e in energy.items():
         if not e:
             continue
-        g = key(m)
+        g = _square_class(f, m)
         if g not in groups:
             groups[g] = (m, e.p, list(e.coeffs))
             continue
@@ -118,35 +133,6 @@ def _energy_by(energy: dict[Point, Cyclotomic], key) -> list[tuple[Point, Cyclot
             if c:
                 acc[i] += c
     return [(m, Cyclotomic(p, acc)) for m, p, acc in groups.values()]
-
-
-@dataclass(frozen=True)
-class NuReport:
-    t: FieldElement
-    direct: Optional[int]
-    spectral: Optional[Fraction]
-
-    @property
-    def equal(self) -> Optional[bool]:
-        if self.direct is None or self.spectral is None:
-            return None
-        return self.spectral == self.direct
-
-
-def nu(E: PointSet, t: FieldElement, k: int, mode: str = "both",
-       table: Optional[CharacterTable] = None,
-       energy: Optional[dict[Point, Cyclotomic]] = None,
-       cap: int = DEFAULT_CAP) -> NuReport:
-    """Pair count at k-distance t, by either or both routes."""
-    if mode not in ("direct", "spectral", "both"):
-        raise ValueError(f"mode must be direct|spectral|both, got {mode!r}")
-    direct = None
-    spectral = None
-    if mode in ("direct", "both"):
-        direct = nu_direct_all(E, k)[t.index]
-    if mode in ("spectral", "both"):
-        spectral = nu_spectral(E, t, k, table, energy, cap)
-    return NuReport(t, direct, spectral)
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +167,6 @@ class BoundReport:
     b_m3: Fraction
     refs: dict = dataclass_field(default_factory=dict)
 
-    @property
-    def b_aux_abs(self) -> float:
-        return abs(float(self.b_aux))
-
-    @property
-    def b_m1_abs(self) -> float:
-        return abs(float(self.b_m1))
-
     def components(self) -> dict:
         return {
             "a_sum_abs": self.a_sum_abs,
@@ -201,6 +179,35 @@ class BoundReport:
             "b_m3": str(self.b_m3),
             "refs": {name: value for name, value in sorted(self.refs.items())},
         }
+
+
+def _m_weights(q: int, m: Point) -> tuple[int, int, int]:
+    """The integer weight of frequency m in each of m1, m2 and m3.
+
+    Subsets are enumerated explicitly, so that the m2 weight is seen to
+    cancel to zero rather than assumed to.
+    """
+    d = m.d
+    w = m.zero_count()
+    c1 = c2 = c3 = 0
+    if w == d:
+        # m = 0: every subset I has Z(m_I) = |I|
+        for beta in range(d + 1):
+            for _ in combinations(range(d), beta):
+                c3 += (q - 1) ** beta
+        return c1, c2, c3
+    zero_pos = {i for i, c in enumerate(m.idx) if c == 0}
+    for beta in range(w + 1):
+        weight = (q - 1) ** beta
+        for r in range(d - w + 1):
+            sign = (-1) ** r
+            for subset in combinations(range(d), beta + r):
+                if len(zero_pos.intersection(subset)) == beta:
+                    if beta < w:
+                        c1 += weight * sign
+                    else:
+                        c2 += weight * sign
+    return c1, c2, c3
 
 
 def bounds(E: PointSet, t: FieldElement, k: int,
@@ -218,45 +225,19 @@ def bounds(E: PointSet, t: FieldElement, k: int,
     if energy is None:
         energy = spectral_energy(E, cap)
 
-    a_total = Cyclotomic.zero(f.p)
-    for m, e in _energy_by(energy, lambda m: _square_class(f, m)):
+    zero = Cyclotomic.zero(f.p)
+    a_total = b_sum = b_main = b_aux = m1 = m2 = m3 = zero
+    for m, e in _energy_by(f, energy):
         a_total = a_total + e * a_term(table, m, t, k)
-    a_sum_abs = abs(a_total.to_complex())
-    a_bound = 2 * 3**d * q ** (-(d - 1) / 2) * len(E)
-
-    b_sum = Cyclotomic.zero(f.p)
-    b_main = Cyclotomic.zero(f.p)
-    b_aux = Cyclotomic.zero(f.p)
-    m1 = Cyclotomic.zero(f.p)
-    m2 = Cyclotomic.zero(f.p)
-    m3 = Cyclotomic.zero(f.p)
-    for m, e in _energy_by(energy, lambda m: tuple(c == 0 for c in m.idx)):
         b_sum = b_sum + e * b_term(f, m, k)
         b_main = b_main + e * b_term_alpha_range(f, m, 0, d)
         b_aux = b_aux - e * b_term_alpha_range(f, m, k, d)
-        # the integer weight of this zero pattern in each of m1, m2, m3
-        c1 = c2 = c3 = 0
-        w = m.zero_count()
-        if w == d:
-            # m = 0: every subset I has Z(m_I) = |I|
-            for beta in range(d + 1):
-                for _ in combinations(range(d), beta):
-                    c3 += (q - 1) ** beta
-        else:
-            zero_pos = {i for i, c in enumerate(m.idx) if c == 0}
-            for beta in range(w + 1):
-                weight = (q - 1) ** beta
-                for r in range(d - w + 1):
-                    sign = (-1) ** r
-                    for subset in combinations(range(d), beta + r):
-                        if len(zero_pos.intersection(subset)) == beta:
-                            if beta < w:
-                                c1 += weight * sign
-                            else:
-                                c2 += weight * sign
+        c1, c2, c3 = _m_weights(q, m)
         m1 = m1 + e * c1
         m2 = m2 + e * c2
         m3 = m3 + e * c3
+    a_sum_abs = abs(a_total.to_complex())
+    a_bound = 2 * 3**d * q ** (-(d - 1) / 2) * len(E)
 
     refs = {
         "b_aux_ref": q ** (-k) * len(E),

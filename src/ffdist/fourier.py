@@ -2,8 +2,9 @@
 
 fhat(m) = q^{-d} sum_x f(x) chi(-x.m), with the naive O(q^{2d}) evaluation:
 at desk scale exactness beats speed, and F_q^d has no radix structure to
-exploit.  Indicator transforms take a fast path that only histograms trace
-residues over the support.
+exploit.  dft is the general route over any exact values; dft_indicator
+takes a fast path that only histograms trace residues over the support, and
+the tests check the two against each other.
 """
 
 from __future__ import annotations
@@ -85,21 +86,14 @@ def dft(field: Field, d: int, f: Mapping[Point, Value], cap: int = DEFAULT_CAP) 
     domain = enumerate_vectors(field, d, cap)
     p = field.p
     scale = Fraction(1, field.q**d)
-    support = [(x, v) for x, v in f.items() if v]
-    rational = all(isinstance(v, (int, Fraction)) for _, v in support)
-    neg = field._neg
+    support = [(x, v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(p, v))
+               for x, v in f.items() if v]
+    trace, neg = field._trace, field._neg
     values: dict[Point, Cyclotomic] = {}
     for m in domain:
-        if rational:
-            counts: Counter = Counter()
-            for x, v in support:
-                counts[field._trace[neg[x.dot(m).index]]] += v
-            acc = Cyclotomic.from_counts(p, counts)
-        else:
-            acc = Cyclotomic.zero(p)
-            for x, v in support:
-                term = v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(p, v)
-                acc = acc + term.times_root(field._trace[neg[x.dot(m).index]])
+        acc = Cyclotomic.zero(p)
+        for x, v in support:
+            acc = acc + v.times_root(trace[neg[x.dot(m).index]])
         values[m] = acc * scale
     return FourierTable(field, d, values)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 from .characters import CharacterTable
 from .cyclotomic import Cyclotomic
@@ -38,28 +38,6 @@ class SphereSpec:
             raise ValueError(f"k must lie in [1, {d}], got {self.k}")
 
 
-class IndexSubset:
-    """A subset of coordinate positions {1, ..., d} (1-based, as printed)."""
-
-    __slots__ = ("d", "members")
-
-    def __init__(self, d: int, members: Iterable[int]) -> None:
-        ms = frozenset(members)
-        if not all(1 <= i <= d for i in ms):
-            raise ValueError(f"members must lie in [1, {d}]")
-        self.d = d
-        self.members = ms
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(sorted(self.members))
-
-    def __repr__(self) -> str:
-        return f"IndexSubset(d={self.d}, {sorted(self.members)})"
-
-
 def k_norm(x: Point, k: int) -> FieldElement:
     """||x||_k: the sum of squares if Z(x) <= k-1, else 0."""
     if not 1 <= k <= x.d:
@@ -67,16 +45,6 @@ def k_norm(x: Point, k: int) -> FieldElement:
     if x.zero_count() <= k - 1:
         return x.norm()
     return x.field.zero
-
-
-def slice_set(field: Field, d: int, subset: IndexSubset, cap: int = DEFAULT_CAP) -> PointSet:
-    """F_I: points whose nonzero coordinates are exactly the positions in I."""
-    if subset.d != d:
-        raise ValueError("subset dimension mismatch")
-    nonzero = {i - 1 for i in subset.members}
-    pts = [x for x in enumerate_vectors(field, d, cap)
-           if {i for i, c in enumerate(x.idx) if c != 0} == nonzero]
-    return PointSet(field, d, pts)
 
 
 @lru_cache(maxsize=None)

@@ -189,11 +189,11 @@ class FieldElement:
         return self.field._trace[self.index]
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field is other.field and self.index == other.index
-        if isinstance(other, int):
-            return self.field is not None and self == self.field.from_int(other)
-        return NotImplemented
+        # no equality with int: one would then equal both 1 and 1 + p,
+        # which hash differently
+        if not isinstance(other, FieldElement):
+            return NotImplemented
+        return self.field is other.field and self.index == other.index
 
     def __hash__(self) -> int:
         return hash((id(self.field), self.index))
@@ -423,12 +423,6 @@ class Point:
         """Number of zero coordinates."""
         return sum(1 for a in self.idx if a == 0)
 
-    def enumeration_index(self) -> int:
-        i = 0
-        for a in self.idx:
-            i = i * self.field.q + a
-        return i
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Point):
             return NotImplemented
@@ -439,11 +433,6 @@ class Point:
 
     def __repr__(self) -> str:
         return f"Point{self.idx}"
-
-
-def vector_ops(x: Point, y: Point) -> tuple[FieldElement, FieldElement, int]:
-    """(x . y, ||x||, Z(x)) in one call."""
-    return x.dot(y), x.norm(), x.zero_count()
 
 
 def point_from_index(field: Field, d: int, index: int) -> Point:

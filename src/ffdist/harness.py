@@ -539,17 +539,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if hasattr(args, "t") and args.t is None and args.command == "sphere-ft":
             raise ValueError("--t is required for sphere-ft")
         payload, rows, code = args.func(args)
-    except (ValueError, ZeroDivisionError) as exc:
+        text = render_output(payload, rows, args.fmt)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+    except (OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CheckFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = render_output(payload, rows, args.fmt)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return code
 

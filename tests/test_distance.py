@@ -1,20 +1,23 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ffdist.characters import character_table
 from ffdist.cyclotomic import Cyclotomic
-from ffdist.distance import (BoundReport, alternating_binomial_sum, bounds,
-                             distance_set, nu, nu_direct_all, nu_spectral,
-                             sharpness_example)
+from ffdist import distance
+from ffdist.distance import (BoundReport, _distance_indices,
+                             alternating_binomial_sum, bounds, distance_set,
+                             nu_direct_all, nu_spectral, sharpness_example)
 from ffdist.fourier import PointSet, spectral_energy
 from ffdist.geometry import (SphereSpec, a_term, b_term, b_term_alpha_range,
-                             sphere_ft)
-from ffdist.gf import (Point, factor_prime_power, make_field, point_from_index)
+                             k_norm, sphere_ft)
+from ffdist.gf import (Point, enumerate_vectors, factor_prime_power, make_field,
+                       point_from_index)
 
 
 def field_for(q):
@@ -99,25 +102,6 @@ class TestNu:
                 for t in f.elements:
                     got = nu_spectral(E, t, k, table, energy)
                     assert got == direct[t.index]
-
-    def test_nu_report_both(self):
-        f = make_field(5)
-        E = random_subset(f, 2, 6, seed=2)
-        for t in f.elements:
-            rep = nu(E, t, 2)
-            assert rep.equal is True
-            assert rep.spectral.denominator == 1
-
-    def test_nu_single_modes(self):
-        f = make_field(3)
-        E = random_subset(f, 2, 4, seed=9)
-        t = f.element(1)
-        rep = nu(E, t, 1, mode="direct")
-        assert rep.spectral is None and rep.equal is None
-        rep = nu(E, t, 1, mode="spectral")
-        assert rep.direct is None
-        with pytest.raises(ValueError):
-            nu(E, t, 1, mode="fast")
 
     def test_positive_iff_distance(self):
         f = make_field(5)
@@ -277,6 +261,48 @@ def small_sets(draw):
                             unique=True))
     f = field_for(q)
     return PointSet(f, d, [point_from_index(f, d, i) for i in indices])
+
+
+def _reference_nu_direct(E, k):
+    # the pair count through Point and k_norm objects, one pair at a time
+    counts = Counter({i: 0 for i in range(E.field.q)})
+    for x in E:
+        for y in E:
+            counts[k_norm(x - y, k).index] += 1
+    return counts
+
+
+def _full_space(q, d):
+    f = field_for(q)
+    return PointSet(f, d, enumerate_vectors(f, d))
+
+
+class TestDirectRoute:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(E=small_sets())
+    @example(E=_full_space(3, 2))
+    @example(E=_full_space(5, 2))
+    def test_matches_reference_loop(self, E):
+        for k in range(1, E.d + 1):
+            counts = _reference_nu_direct(E, k)
+            assert nu_direct_all(E, k) == counts
+            assert _distance_indices(E, k) == {t for t, n in counts.items() if n}
+
+    def test_early_exit_fires(self, monkeypatch):
+        # the full space sees every distance long before its last row
+        E = _full_space(5, 2)
+        rows = []
+
+        def counted(E, k):
+            for row in loop(E, k):
+                rows.append(row)
+                yield row
+
+        loop = distance._k_norm_rows
+        monkeypatch.setattr(distance, "_k_norm_rows", counted)
+        assert _distance_indices(E, 2) == set(range(5))
+        assert len(rows) < len(E)
 
 
 class TestGroupedSpectrum:

@@ -5,9 +5,9 @@ import pytest
 
 from ffdist.characters import CharacterTable, character_table
 from ffdist.cyclotomic import Cyclotomic
-from ffdist.geometry import (IndexSubset, SphereSpec, _square_class, a_term,
-                             b_term, k_norm, lemma31_sum, slice_set, sphere_ft,
-                             sphere_points, stratum, stratum_sum_brute)
+from ffdist.geometry import (SphereSpec, _square_class, a_term, b_term, k_norm,
+                             lemma31_sum, sphere_ft, sphere_points, stratum,
+                             stratum_sum_brute)
 from ffdist.gf import (Point, enumerate_vectors, factor_prime_power,
                        make_field, point_from_index)
 
@@ -56,25 +56,6 @@ class TestStrataAndSlices:
         for d in (2, 3):
             for alpha in range(d + 1):
                 assert len(stratum(f, d, alpha)) == math.comb(d, alpha) * 4 ** (d - alpha)
-
-    def test_slice_example(self):
-        f = make_field(3)
-        F = slice_set(f, 2, IndexSubset(2, {1}))
-        assert [x.idx for x in F] == [(1, 0), (2, 0)]
-
-    def test_slices_partition(self):
-        from itertools import combinations
-        f = make_field(3)
-        d = 2
-        seen = set()
-        for size in range(d + 1):
-            for members in combinations(range(1, d + 1), size):
-                F = slice_set(f, d, IndexSubset(d, members))
-                assert len(F) == 2 ** len(members)
-                for x in F:
-                    assert x.idx not in seen
-                    seen.add(x.idx)
-        assert len(seen) == 9
 
     def test_alpha_out_of_range(self):
         f = make_field(3)

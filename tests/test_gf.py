@@ -1,8 +1,8 @@
 import pytest
 
 from ffdist.cyclotomic import Cyclotomic
-from ffdist.gf import (Field, Point, enumerate_vectors, factor_prime_power,
-                       make_field, point_from_index, vector_ops)
+from ffdist.gf import (Field, FieldElement, Point, enumerate_vectors,
+                       factor_prime_power, make_field, point_from_index)
 
 ODD_PRIME_POWERS_49 = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49]
 
@@ -63,6 +63,26 @@ class TestArithmetic:
     def test_inverse_of_zero(self):
         with pytest.raises(ZeroDivisionError):
             make_field(3).zero.inverse()
+
+    def test_int_arithmetic(self):
+        f = make_field(5)
+        assert f.one + 1 == f.element(2)
+        assert 3 * f.element(2) == f.from_int(6) == f.one
+
+    def test_no_equality_with_int(self):
+        # an element equal to both 1 and 6 could not hash like both
+        f = make_field(5)
+        assert f.one != 6
+        assert f.one != 1
+        assert f.zero != 0
+        assert f.one not in {1}
+
+    def test_equal_elements_hash_equal(self):
+        f = make_field(3, 2)
+        for a in f.elements:
+            twin = FieldElement(f, a.index)
+            assert twin is not a and twin == a and hash(twin) == hash(a)
+            assert twin != a + f.one
 
     def test_field_axioms_exhaustive_gf9(self):
         f = make_field(3, 2)
@@ -137,8 +157,7 @@ class TestVectors:
     def test_norm_and_zeros(self):
         f = make_field(3)
         x = Point(f, (1, 2))
-        dot, norm, zeros = vector_ops(x, x)
-        assert norm == f.element(2) and zeros == 0
+        assert x.norm() == f.element(2) and x.zero_count() == 0
         y = Point(f, (0, 2))
         assert y.zero_count() == 1 and y.norm() == f.element(1)
         z = Point(f, (0, 0))
@@ -160,7 +179,7 @@ class TestVectors:
         pts = enumerate_vectors(f, 2)
         assert len(pts) == 9
         assert pts[0].idx == (0, 0) and pts[-1].idx == (2, 2)
-        assert all(x.enumeration_index() == i for i, x in enumerate(pts))
+        assert [x.idx for x in pts] == sorted(x.idx for x in pts)
         assert all(point_from_index(f, 2, i) == x for i, x in enumerate(pts))
 
     def test_enumeration_cardinality_gf9(self):

@@ -190,7 +190,28 @@ class TestCli:
         assert json.loads(target.read_text())["size"] == 3
 
 
+    def test_out_dir_missing_exit_2(self, tmp_path, capsys):
+        target = tmp_path / "nodir" / "x.json"
+        code = main(["sharpness", "--q", "3", "--d", "2", "--k", "1",
+                     "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert not target.exists()
+
+
 class TestConfigFile:
+    def test_missing_config_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code = main(["verify-identities", "--q", "3", "--config", str(missing)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_config_supplies_flags(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"q": 3, "d": 2, "k": 1, "size": 4, "seed": 5}))
