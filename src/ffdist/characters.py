@@ -60,15 +60,20 @@ def character_table(field: Field) -> CharacterTable:
     return CharacterTable(field)
 
 
+def _check_field(table: CharacterTable, *elements: FieldElement) -> None:
+    if any(x.field is not table.field for x in elements):
+        raise ValueError("elements belong to different fields")
+
+
 def gauss_sum(table: CharacterTable, a: FieldElement) -> Cyclotomic:
     """G_a = sum over c in F_q* of eta(c) chi_a(c); G_0 = 0 by orthogonality."""
+    _check_field(table, a)
     f = table.field
-    counts: Counter = Counter()
-    mul, trace, quad = f._mul, f._trace, f._quad
-    ai = a.index
+    acc = [0] * f.p
+    row, trace, quad = f._mul[a.index], f._trace, f._quad
     for c in range(1, f.q):
-        counts[trace[mul[ai][c]]] += quad[c]
-    return table.chi_sum(counts)
+        acc[trace[row[c]]] += quad[c]
+    return Cyclotomic(f.p, acc)
 
 
 def gauss_closed_form(field: Field) -> complex:
@@ -131,12 +136,14 @@ def kloosterman(table: CharacterTable, a: FieldElement, b: FieldElement) -> Cycl
     """K(chi; a, b) = sum over s in F_q* of chi(a s + b s^{-1})."""
     if a.is_zero or b.is_zero:
         raise ValueError("Kloosterman sums require a != 0 and b != 0")
+    _check_field(table, a, b)
     f = table.field
-    counts: Counter = Counter()
+    acc = [0] * f.p
+    mul_a, mul_b = f._mul[a.index], f._mul[b.index]
+    add, inv, trace = f._add, f._inv, f._trace
     for s in range(1, f.q):
-        si = f.elements[s]
-        counts[(a * si + b * si.inverse()).trace()] += 1
-    return table.chi_sum(counts)
+        acc[trace[add[mul_a[s]][mul_b[inv[s]]]]] += 1
+    return Cyclotomic(f.p, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 Elements are indexed 0..q-1 by the base-p value of their coefficient vector
 (constant coefficient least significant), so the prime field embeds as
 0..p-1 with index == value.  All field operations go through precomputed
-tables, which is the right trade-off at desk scale (q <= ~1000): building
-the tables costs O(q^2) polynomial multiplications once, after which every
-downstream character sum is a pair of list lookups.
+dense tables, which is the right trade-off at desk scale (q <= 2048): every
+downstream character sum is then a pair of list lookups.  The tables come
+from one walk over the powers of a primitive element (exp/log lists, from
+which products, inverses, negatives, the quadratic character and Frobenius
+follow) plus digitwise addition rows cut from one shared list of ints, so a
+build is O(q*s) polynomial work plus q^2 list copies.
 
 The defining modulus is chosen deterministically (smallest monic irreducible
 polynomial of degree s in base-p coefficient order) so that GF(9), GF(25),
@@ -248,64 +251,78 @@ class Field:
         return i
 
     def _build_tables(self) -> None:
-        p, s, q = self.p, self.s, self.q
-        coeff = [self.index_to_coeffs(i) for i in range(q)]
-        mod = list(self.modulus)
+        p, q = self.p, self.q
+        n = q - 1
 
-        self._neg = [self.coeffs_to_index((-c) % p for c in coeff[i]) for i in range(q)]
-        self._add = [
-            [self.coeffs_to_index((a + b) % p for a, b in zip(coeff[i], coeff[j]))
-             for j in range(q)]
-            for i in range(q)
-        ]
-        mul = []
-        for i in range(q):
-            fi = _poly_trim(list(coeff[i]))
-            row = []
-            for j in range(q):
-                prod = _poly_mul(fi, _poly_trim(list(coeff[j])), p)
-                if s > 1:
-                    prod = _poly_rem(prod, mod, p)
-                else:
-                    prod = [prod[0] % p] if prod else []
-                row.append(self.coeffs_to_index(prod + [0] * (s - len(prod))))
-            mul.append(row)
-        self._mul = mul
-
-        inv: list[Optional[int]] = [None] * q
+        # addition is digitwise mod p on base-p indices.  The row of i whose
+        # top nonzero digit is a at place p^k is the row of i mod p^k with
+        # each block of p^(k+1) entries rotated by a * p^k; every row is made
+        # of slices of ints, so the rows share q int objects, not q^2 new ones.
+        ints = list(range(q))
+        add = [ints]
         for i in range(1, q):
-            if inv[i] is None:
-                for j in range(1, q):
-                    if mul[i][j] == 1:
-                        inv[i], inv[j] = j, i
-                        break
-        self._inv = inv
+            pk = 1
+            while pk * p <= i:
+                pk *= p
+            low, shift, size = add[i % pk], i - i % pk, pk * p
+            row: list[int] = []
+            for b in range(0, q, size):
+                row += low[b + shift:b + size]
+                row += low[b:b + shift]
+            add.append(row)
+        self._add = add
 
-        # absolute trace Tr(a) = sum of a^{p^e} for e < s; lands in GF(p)
+        # the unit group is cyclic: one walk over the powers of a primitive
+        # element g gives exp (power -> index) and log (index -> power)
+        g = self._primitive_element()
+        exp = [0] * n
+        log: list[Optional[int]] = [None] * q
+        cur = [1]
+        for e in range(n):
+            i = self.coeffs_to_index(cur)
+            exp[e], log[i] = i, e
+            cur = _poly_rem(_poly_mul(cur, g, p), self.modulus, p)
+        self._exp, self._log = exp, log
+
+        logs = log[1:]
+        exp2 = exp + exp
+        self._mul = [[0] * q] + [[0] + [exp2[li + lj] for lj in logs] for li in logs]
+        self._inv = [None] + [exp[-li % n] for li in logs]
+        self._neg = [0] + [exp2[li + n // 2] for li in logs]  # -1 = g^(n/2)
+        self._quad = [0] + [1 if li % 2 == 0 else -1 for li in logs]
+
+        # absolute trace Tr(a) = sum of a^(p^e) for e < s; lands in GF(p), where
+        # an element's index equals its value
+        frob = [0] + [exp[p * li % n] for li in logs]
         trace = []
-        for i in range(q):
-            acc, frob = 0, i
-            for _ in range(s):
-                acc = self._add[acc][frob]
-                frob = self._pow_index(frob, p)
-            trace.append(acc)  # index of a prime-subfield element equals its value
+        for a in range(q):
+            acc = 0
+            for _ in range(self.s):
+                acc, a = add[acc][a], frob[a]
+            trace.append(acc)
         self._trace = trace
 
-        half = (q - 1) // 2
-        quad = [0] * q
+    def _primitive_element(self) -> list[int]:
+        """Coefficients of the smallest-index generator of GF(q)*.
+
+        X need not be one (X^2 + 1 over GF(3) has order 4), so each candidate's
+        order is tested against the prime factors of q - 1.
+        """
+        p, q, mod = self.p, self.q, self.modulus
+        n = q - 1
+        primes = [r for r in range(2, n + 1)
+                  if n % r == 0 and all(r % d for d in range(2, math.isqrt(r) + 1))]
         for i in range(1, q):
-            e = self._pow_index(i, half)
-            quad[i] = 1 if e == 1 else -1
-        self._quad = quad
+            g = _poly_trim(list(self.index_to_coeffs(i)))
+            if all(_poly_powmod(g, n // r, mod, p) != [1] for r in primes):
+                return g
+        raise RuntimeError(f"GF({q}) has no primitive element")
 
     def _pow_index(self, i: int, n: int) -> int:
-        out, base = 1, i
-        while n:
-            if n & 1:
-                out = self._mul[out][base]
-            base = self._mul[base][base]
-            n >>= 1
-        return out
+        """Index of a^n for a of index i and n >= 0 (0^0 = 1)."""
+        if i == 0:
+            return 0 if n else 1
+        return self._exp[self._log[i] * n % (self.q - 1)]
 
     # -- public operations -------------------------------------------------
 

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -8,9 +9,29 @@ from ffdist.characters import (character_table, gauss_closed_form,
 from ffdist.cyclotomic import Cyclotomic
 from ffdist.gf import Point, factor_prime_power, make_field
 
+SUM_ORDERS = [3, 5, 9, 25, 27, 49]
+
 
 def table_for(q):
     return character_table(make_field(*factor_prime_power(q)))
+
+
+def _reference_gauss_sum(table, a):
+    """G_a summed over FieldElements: eta(c) chi(a c) for c != 0."""
+    f = table.field
+    counts = Counter()
+    for c in f.elements[1:]:
+        counts[(a * c).trace()] += f.quad_char(c)
+    return Cyclotomic.from_counts(f.p, counts)
+
+
+def _reference_kloosterman(table, a, b):
+    """K(a, b) summed over FieldElements: chi(a s + b / s) for s != 0."""
+    f = table.field
+    counts = Counter()
+    for s in f.elements[1:]:
+        counts[(a * s + b * s.inverse()).trace()] += 1
+    return Cyclotomic.from_counts(f.p, counts)
 
 
 class TestCharacterTable:
@@ -70,6 +91,19 @@ class TestGaussSums:
         t = table_for(q)
         assert abs(t.gauss_standard().to_complex() - gauss_closed_form(t.field)) < 1e-6
 
+    @pytest.mark.parametrize("q", SUM_ORDERS)
+    def test_matches_reference(self, q):
+        t = table_for(q)
+        for a in t.field.elements:
+            assert gauss_sum(t, a).coeffs == _reference_gauss_sum(t, a).coeffs
+
+    def test_element_of_another_field_rejected(self):
+        t = table_for(7)
+        with pytest.raises(ValueError, match="different fields"):
+            gauss_sum(t, make_field(11).element(10))  # index outside GF(7)
+        with pytest.raises(ValueError, match="different fields"):
+            gauss_sum(t, make_field(3, 2).element(5))  # index inside GF(7)
+
 
 class TestGaussIdentities:
     def test_q3_hand_example(self):
@@ -120,6 +154,22 @@ class TestKloosterman:
             kloosterman(t, t.field.one, t.field.zero)
         with pytest.raises(ValueError):
             kloosterman(t, t.field.zero, t.field.one)
+
+    @pytest.mark.parametrize("q", SUM_ORDERS)
+    def test_matches_reference(self, q):
+        t = table_for(q)
+        units = t.field.elements[1:]
+        for a in units:
+            for b in units:
+                assert kloosterman(t, a, b).coeffs == _reference_kloosterman(t, a, b).coeffs
+
+    def test_element_of_another_field_rejected(self):
+        t = table_for(7)
+        one, other = t.field.one, make_field(3, 2).element(5)
+        with pytest.raises(ValueError, match="different fields"):
+            kloosterman(t, other, one)
+        with pytest.raises(ValueError, match="different fields"):
+            kloosterman(t, one, other)
 
     @pytest.mark.parametrize("q", [3, 5, 9, 25])
     def test_weil_bound(self, q):

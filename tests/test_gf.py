@@ -1,14 +1,64 @@
+import random
+from collections import Counter
+
 import pytest
 
 from ffdist.cyclotomic import Cyclotomic
-from ffdist.gf import (Field, FieldElement, Point, enumerate_vectors,
+from ffdist.gf import (Field, FieldElement, Point, _poly_mul, _poly_powmod,
+                       _poly_rem, _poly_trim, enumerate_vectors,
                        factor_prime_power, make_field, point_from_index)
 
 ODD_PRIME_POWERS_49 = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49]
+ODD_PRIME_POWERS_125 = ODD_PRIME_POWERS_49 + [
+    53, 59, 61, 67, 71, 73, 79, 81, 83, 89, 97, 101, 103, 107, 109, 113, 121, 125]
+TABLES = ("_add", "_mul", "_neg", "_inv", "_trace", "_quad")
 
 
 def field_for(q):
     return make_field(*factor_prime_power(q))
+
+
+def _reference_tables(f):
+    """The six tables built entry by entry from coefficient vectors: one
+    polynomial product per pair, inverses by search, the trace by repeated
+    p-th powers and the quadratic character by Euler's criterion."""
+    p, s, q = f.p, f.s, f.q
+    coeff = [f.index_to_coeffs(i) for i in range(q)]
+    mod = list(f.modulus)
+    neg = [f.coeffs_to_index((-c) % p for c in coeff[i]) for i in range(q)]
+    add = [[f.coeffs_to_index((a + b) % p for a, b in zip(coeff[i], coeff[j]))
+            for j in range(q)] for i in range(q)]
+    mul = []
+    for i in range(q):
+        fi = _poly_trim(list(coeff[i]))
+        row = []
+        for j in range(q):
+            prod = _poly_mul(fi, _poly_trim(list(coeff[j])), p)
+            if s > 1:
+                prod = _poly_rem(prod, mod, p)
+            row.append(f.coeffs_to_index(prod))
+        mul.append(row)
+
+    def power(i, n):
+        out = 1
+        for _ in range(n):
+            out = mul[out][i]
+        return out
+
+    inv = [None] + [next(j for j in range(1, q) if mul[i][j] == 1) for i in range(1, q)]
+    trace = []
+    for i in range(q):
+        acc, frob = 0, i
+        for _ in range(s):
+            acc, frob = add[acc][frob], power(frob, p)
+        trace.append(acc)
+    quad = [0] + [1 if power(i, (q - 1) // 2) == 1 else -1 for i in range(1, q)]
+    return add, mul, neg, inv, trace, quad
+
+
+def _assert_tables_match_reference(f):
+    for name, want in zip(TABLES, _reference_tables(f)):
+        assert getattr(f, name) == want, name
 
 
 class TestConstruction:
@@ -44,6 +94,45 @@ class TestConstruction:
         for bad in (4, 8, 12, 15, 100):
             with pytest.raises(ValueError):
                 factor_prime_power(bad)
+
+
+class TestTablesAgainstReference:
+    @pytest.mark.parametrize("q", ODD_PRIME_POWERS_125)
+    def test_default_modulus(self, q):
+        _assert_tables_match_reference(Field(*factor_prime_power(q)))
+
+    @pytest.mark.parametrize("q", [243, 251, 257, 343, 361])
+    def test_benchmark_orders(self, q):
+        _assert_tables_match_reference(Field(*factor_prime_power(q)))
+
+    @pytest.mark.parametrize("p,s,modulus", [
+        (3, 2, (1, 0, 1)),     # X^2 + 1: X has order 4, not 8
+        (3, 2, (2, 1, 1)),     # X^2 + X + 2
+        (5, 2, (2, 0, 1)),     # X^2 + 2
+        (7, 2, (1, 0, 1)),     # X^2 + 1
+        (3, 3, (1, 2, 0, 1)),  # X^3 + 2X + 1
+    ])
+    def test_custom_modulus(self, p, s, modulus):
+        f = Field(p, s, modulus=modulus)
+        assert f.modulus == modulus
+        _assert_tables_match_reference(f)
+
+
+@pytest.mark.parametrize("p,s", [(2027, 1), (3, 6)])
+def test_top_of_scope(p, s):
+    """The largest fields in scope: inverses, squares and trace fibers."""
+    f = Field(p, s)
+    q, mul, inv, quad = f.q, f._mul, f._inv, f._quad
+    assert all(mul[i][inv[i]] == 1 for i in range(1, q))
+    assert sum(1 for i in range(1, q) if quad[i] == 1) == (q - 1) // 2
+    rng = random.Random(f"euler:{q}")
+    for i in rng.sample(range(1, q), 200):
+        g = _poly_trim(list(f.index_to_coeffs(i)))
+        euler = _poly_powmod(g, (q - 1) // 2, f.modulus, p)
+        assert quad[i] == (1 if euler == [1] else -1)
+    fibers = Counter(f._trace)
+    assert set(fibers) == set(range(p))
+    assert all(n == p ** (s - 1) for n in fibers.values())
 
 
 class TestArithmetic:
@@ -83,6 +172,23 @@ class TestArithmetic:
             twin = FieldElement(f, a.index)
             assert twin is not a and twin == a and hash(twin) == hash(a)
             assert twin != a + f.one
+
+    def test_power_edge_cases(self):
+        f = make_field(5, 2)
+        a = f.element(7)
+        assert f.zero ** 0 == f.one
+        assert f.zero ** 3 == f.zero
+        assert a ** 0 == f.one
+        assert a ** -2 == (a * a).inverse()
+        assert a ** -1 * a == f.one
+        with pytest.raises(ZeroDivisionError):
+            f.zero ** -1
+
+    @pytest.mark.parametrize("q", [9, 25])
+    def test_unit_order_divides_q_minus_1(self, q):
+        f = field_for(q)
+        assert all(a ** (q - 1) == f.one for a in f.elements[1:])
+        assert all(a ** q == a for a in f.elements)
 
     def test_field_axioms_exhaustive_gf9(self):
         f = make_field(3, 2)
@@ -130,7 +236,6 @@ class TestTraceAndCharacter:
 
     @pytest.mark.parametrize("q", ODD_PRIME_POWERS_49)
     def test_trace_fibers(self, q):
-        from collections import Counter
         f = field_for(q)
         fibers = Counter(f._trace)
         assert set(fibers) == set(range(f.p))
@@ -146,7 +251,6 @@ class TestTraceAndCharacter:
 
 
 def _trace_counts(f, b):
-    from collections import Counter
     counts = Counter()
     for c in range(f.q):
         counts[f._trace[f._mul[b.index][c]]] += 1
