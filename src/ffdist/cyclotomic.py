@@ -1,15 +1,20 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_p) for an odd prime p.
 
-Elements are stored as p rational coefficients c_0..c_{p-1} of the powers
-1, zeta, ..., zeta^{p-1}.  The representation is redundant (the minimal
-polynomial has degree p-1), so every value is kept in a canonical form with
+A value is p integer coefficients num = (c_0, ..., c_{p-1}) of the powers
+1, zeta, ..., zeta^{p-1} over one positive common denominator den: the
+layout of FLINT's fmpq_poly.  The representation is redundant (the minimal
+polynomial has degree p-1), so every value is kept in a canonical form:
 c_{p-1} = 0, obtained by subtracting c_{p-1} from all coefficients via the
-relation 1 + zeta + ... + zeta^{p-1} = 0.  Two canonical values are equal
-iff their coefficient tuples are equal, which makes all the character-sum
-identities downstream testable as exact equalities.
+relation 1 + zeta + ... + zeta^{p-1} = 0, and gcd(den, c_0, ..., c_{p-1})
+= 1.  Two canonical values are equal iff their (num, den) pairs are equal,
+which makes all the character-sum identities downstream testable as exact
+equalities.
 
-Coefficients are ints whenever possible and Fractions otherwise; arithmetic
-never touches floats except in the explicit complex embedding.
+The constructor takes int coefficients only (den = 1); other denominators
+arise from arithmetic with rationals.  Ring arithmetic runs on ints.  A
+Fraction appears only at the boundary: a rational value or scalar coming
+in, and the coeffs view, rational_value and comparison with a rational
+going out.  Floats appear only in the explicit complex embedding.
 """
 
 from __future__ import annotations
@@ -19,8 +24,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Union
-
-Rational = Union[int, Fraction]
 
 
 @lru_cache(maxsize=None)
@@ -32,19 +35,13 @@ def check_odd_prime(p: int) -> None:
         raise ValueError(f"expected an odd prime, got {p!r}")
 
 
-def _norm_coeff(c: Rational) -> Rational:
-    # keep integer-valued Fractions as plain ints so the fast int path applies
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
-
-
 class Cyclotomic:
-    """An exact element of Q(zeta_p), canonical form with last coefficient 0."""
+    """An exact element of Q(zeta_p): canonical integer coefficients num over
+    a positive denominator den, in lowest terms."""
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p", "num", "den")
 
-    def __init__(self, p: int, coeffs: Iterable[Rational]) -> None:
+    def __init__(self, p: int, coeffs: Iterable[int]) -> None:
         check_odd_prime(p)
         cs = list(coeffs)
         if len(cs) != p:
@@ -52,8 +49,20 @@ class Cyclotomic:
         last = cs[-1]
         if last:
             cs = [c - last for c in cs]
+        math.gcd(*cs)  # raises TypeError unless every coefficient is an int
         self.p = p
-        self.coeffs = tuple(_norm_coeff(c) for c in cs)
+        self.num = tuple(cs)
+        self.den = 1
+
+    @classmethod
+    def _over(cls, p: int, num: Iterable[int], den: int) -> "Cyclotomic":
+        """num / den in canonical form, for den > 0; built through __init__."""
+        v = cls(p, num)
+        g = math.gcd(den, *v.num)
+        if g != 1:
+            v.num = tuple(c // g for c in v.num)
+        v.den = den // g
+        return v
 
     # -- constructors ------------------------------------------------------
 
@@ -66,8 +75,8 @@ class Cyclotomic:
         return cls.from_rational(p, 1)
 
     @classmethod
-    def from_rational(cls, p: int, value: Rational) -> "Cyclotomic":
-        return cls(p, [value] + [0] * (p - 1))
+    def from_rational(cls, p: int, value: Union[int, Fraction]) -> "Cyclotomic":
+        return cls._over(p, [value.numerator] + [0] * (p - 1), value.denominator)
 
     @classmethod
     def root(cls, p: int, j: int) -> "Cyclotomic":
@@ -77,9 +86,9 @@ class Cyclotomic:
         return cls(p, cs)
 
     @classmethod
-    def from_counts(cls, p: int, counts: Mapping[int, Rational]) -> "Cyclotomic":
+    def from_counts(cls, p: int, counts: Mapping[int, int]) -> "Cyclotomic":
         """Sum of counts[j] * zeta^j over the given exponents (mod p)."""
-        cs: list[Rational] = [0] * p
+        cs = [0] * p
         for j, c in counts.items():
             cs[j % p] += c
         return cls(p, cs)
@@ -95,36 +104,40 @@ class Cyclotomic:
             return Cyclotomic.from_rational(self.p, other)
         return None
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.p, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        # over the lcm of the denominators: equal ones need no rescaling
+        den = math.lcm(self.den, o.den)
+        sa, sb = den // self.den, sign * (den // o.den)
+        return Cyclotomic._over(self.p, [a * sa + b * sb for a, b in zip(self.num, o.num)], den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.p, [-c for c in self.coeffs])
+        return Cyclotomic._over(self.p, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyclotomic(self.p, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.p, [c * other for c in self.coeffs])
+            return Cyclotomic._over(self.p, [c * other.numerator for c in self.num],
+                                    self.den * other.denominator)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         if other.p != self.p:
             raise ValueError(f"mixed primes {self.p} and {other.p}")
         p = self.p
-        a, b = self.coeffs, other.coeffs
-        conv: list[Rational] = [0] * p
+        a, b = self.num, other.num
+        conv = [0] * p
         for i, ai in enumerate(a):
             if not ai:
                 continue
@@ -134,7 +147,7 @@ class Cyclotomic:
                     if k >= p:
                         k -= p
                     conv[k] += ai * bj
-        return Cyclotomic(p, conv)
+        return Cyclotomic._over(p, conv, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -156,31 +169,39 @@ class Cyclotomic:
         j %= p
         if j == 0:
             return self
-        c = self.coeffs
-        return Cyclotomic(p, [c[(i - j) % p] for i in range(p)])
+        c = self.num
+        return Cyclotomic._over(p, [c[(i - j) % p] for i in range(p)], self.den)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugate, i.e. zeta |-> zeta^{-1}."""
         p = self.p
-        c = self.coeffs
-        return Cyclotomic(p, [c[(-i) % p] for i in range(p)])
+        c = self.num
+        return Cyclotomic._over(p, [c[(-i) % p] for i in range(p)], self.den)
 
     # -- queries -----------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The rational coefficients, read-only: ints where integral, else
+        Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) if c % den else c // den for c in self.num)
+
+    @property
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.coeffs[0])
+        return Fraction(self.num[0], self.den)
 
     def to_complex(self) -> complex:
         """Numeric embedding zeta_p |-> exp(2*pi*i/p)."""
-        p = self.p
+        p, den = self.p, self.den
+        # c / den is correctly rounded, as float(Fraction(c, den)) is
         return sum(
-            (float(c) * cmath.exp(2j * math.pi * j / p) for j, c in enumerate(self.coeffs) if c),
+            (c / den * cmath.exp(2j * math.pi * j / p) for j, c in enumerate(self.num) if c),
             complex(0.0),
         )
 
@@ -188,21 +209,22 @@ class Cyclotomic:
         return abs(self.to_complex())
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational and self.coeffs[0] == other
         if isinstance(other, Cyclotomic):
-            return self.p == other.p and self.coeffs == other.coeffs
+            return self.p == other.p and self.den == other.den and self.num == other.num
+        if isinstance(other, (int, Fraction)):
+            # num[0] / den == other, cross-multiplied: int-only for an int
+            return self.is_rational and self.num[0] == other * self.den
         return NotImplemented
 
     def __hash__(self) -> int:
         # a rational value equals the int or Fraction it holds, so it must
         # hash like it too
         if self.is_rational:
-            return hash(self.coeffs[0])
-        return hash((self.p, self.coeffs))
+            return hash(self.num[0] if self.den == 1 else self.rational_value())
+        return hash((self.p, self.num, self.den))
 
     def __repr__(self) -> str:
         return f"Cyclotomic(p={self.p}, {list(self.coeffs)})"

@@ -115,24 +115,16 @@ def nu_spectral(E: PointSet, t: FieldElement, k: int,
 
 def _energy_by(f: Field, energy: dict[Point, Cyclotomic]) -> list[tuple[Point, Cyclotomic]]:
     """(representative m, sum of |Ehat|^2 over its square class) for each
-    square class of frequencies, in order of first appearance.
-
-    Coefficients are summed as plain numbers; one Cyclotomic is built per
-    class.  Frequencies with zero energy are left out.
+    square class of frequencies, in order of first appearance.  Frequencies
+    with zero energy are left out.
     """
     groups: dict = {}
     for m, e in energy.items():
-        if not e:
-            continue
-        g = _square_class(f, m)
-        if g not in groups:
-            groups[g] = (m, e.p, list(e.coeffs))
-            continue
-        acc = groups[g][2]
-        for i, c in enumerate(e.coeffs):
-            if c:
-                acc[i] += c
-    return [(m, Cyclotomic(p, acc)) for m, p, acc in groups.values()]
+        if e:
+            g = _square_class(f, m)
+            rep, acc = groups.get(g, (m, None))
+            groups[g] = (rep, e if acc is None else acc + e)
+    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------

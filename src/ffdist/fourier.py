@@ -9,11 +9,12 @@ the tests check the two against each other.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .cyclotomic import Cyclotomic, Rational
+from .cyclotomic import Cyclotomic
 from .gf import DEFAULT_CAP, Field, Point, enumerate_vectors
 
 Value = Union[Cyclotomic, int, Fraction]
@@ -118,24 +119,15 @@ def inverse_dft(table: FourierTable, cap: int = DEFAULT_CAP) -> dict[Point, Cycl
     field = table.field
     domain = enumerate_vectors(field, table.d, cap)
     p = field.p
-    qd = field.q**table.d
     trace = field._trace
-    # scaling by q^d clears the transform's normalization, so indicator-style
-    # tables accumulate in plain ints; the scale is divided back out at the end
-    items = []
-    all_int = True
-    for m, v in table.items():
-        if v:
-            sv = v * qd
-            all_int = all_int and all(isinstance(c, int) for c in sv.coeffs)
-            items.append((m, sv.coeffs))
-    scale = Fraction(1, qd)
-    if not all_int:
-        items = [(m, v.coeffs) for m, v in table.items() if v]
-        scale = 1
+    # every value is carried over the lcm of the denominators, so the sums
+    # run on ints and each f(x) is divided once
+    den = math.lcm(*(v.den for _, v in table.items()))
+    items = [(m, [c * (den // v.den) for c in v.num]) for m, v in table.items() if v]
+    scale = Fraction(1, den)
     out: dict[Point, Cyclotomic] = {}
     for x in domain:
-        acc: list[Rational] = [0] * p
+        acc = [0] * p
         for m, c in items:
             j = trace[m.dot(x).index]
             for i, ci in enumerate(c):

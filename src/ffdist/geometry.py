@@ -122,10 +122,9 @@ def lemma31_sum(table: CharacterTable, d: int, alpha: int, s: FieldElement,
         factors: Sequence = _zero_pattern_factors(table.field, m)
     else:
         factors = _quadratic_factors(table, s, m)
-    value = _elementary_symmetric(factors)[d - alpha]
-    if isinstance(value, (int, Fraction)):
-        return Cyclotomic.from_rational(p, value)
-    return value
+    # e_j is an int for s = 0 and for the empty subset; adding zero makes
+    # every e_j a Cyclotomic
+    return Cyclotomic.zero(p) + _elementary_symmetric(factors)[d - alpha]
 
 
 # ---------------------------------------------------------------------------

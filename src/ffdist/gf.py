@@ -211,12 +211,16 @@ class Field:
     """GF(p^s) for an odd prime p, with dense arithmetic tables."""
 
     def __init__(self, p: int, s: int, modulus: Optional[Sequence[int]] = None) -> None:
-        check_odd_prime(p)
         if not isinstance(s, int) or s < 1:
             raise ValueError(f"extension degree must be >= 1, got {s!r}")
+        # the size check comes first: a huge p would cost O(sqrt p) in the
+        # primality test, and a huge s a huge int in p**s (2^s > _MAX_Q
+        # once s exceeds its bit length)
+        if isinstance(p, int) and p >= 2 and (s > _MAX_Q.bit_length() or p**s > _MAX_Q):
+            size = p if s == 1 else f"{p}^{s}"
+            raise ValueError(f"field GF({size}) exceeds supported size {_MAX_Q}")
+        check_odd_prime(p)
         q = p**s
-        if q > _MAX_Q:
-            raise ValueError(f"field GF({q}) exceeds supported size {_MAX_Q}")
         self.p = p
         self.s = s
         self.q = q
@@ -359,9 +363,12 @@ def make_field(p: int, s: int = 1) -> Field:
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Split q = p^s with p an odd prime, or raise ValueError."""
+    """Split q = p^s with p an odd prime, or raise ValueError (also for q
+    above the supported field size)."""
     if q < 3:
         raise ValueError(f"{q} is not an odd prime power")
+    if q > _MAX_Q:  # before the O(sqrt q) trial division
+        raise ValueError(f"field GF({q}) exceeds supported size {_MAX_Q}")
     p = q
     for c in range(2, math.isqrt(q) + 1):
         if q % c == 0:

@@ -81,9 +81,17 @@ class ExperimentConfig:
         return max((self.d + 1) / 2, self.d - self.k)
 
     def threshold_size(self, q: int) -> int:
-        return math.ceil(float(self.C) * q**self.threshold_exponent)
+        try:
+            return math.ceil(float(self.C) * q**self.threshold_exponent)
+        except OverflowError:
+            raise ValueError(f"threshold size C * {q}^{self.threshold_exponent} "
+                             "is out of range") from None
 
     def resolve_sizes(self, q: int) -> tuple[int, ...]:
+        # q^d > cap is refused before any size arithmetic; 2^d > cap already
+        # once d exceeds the cap's bit length, so q**d is never huge
+        if self.d > self.cap.bit_length() or q**self.d > self.cap:
+            raise ValueError(f"q^d = {q}^{self.d} exceeds enumeration cap {self.cap}")
         n = q**self.d
         if self.size_grid is not None:
             sizes = self.size_grid

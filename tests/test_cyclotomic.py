@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -9,8 +10,19 @@ from ffdist.cyclotomic import Cyclotomic
 
 
 def cyclo(p):
+    # int coefficients over a drawn denominator, so values are rational
     coeff = st.integers(min_value=-9, max_value=9)
-    return st.lists(coeff, min_size=p, max_size=p).map(lambda cs: Cyclotomic(p, cs))
+    den = st.integers(min_value=1, max_value=12)
+    return st.tuples(st.lists(coeff, min_size=p, max_size=p), den).map(
+        lambda t: Cyclotomic(p, t[0]) * Fraction(1, t[1]))
+
+
+def assert_canonical(v):
+    assert len(v.num) == v.p
+    assert all(type(c) is int for c in v.num)
+    assert type(v.den) is int and v.den > 0
+    assert math.gcd(v.den, *v.num) == 1
+    assert v.num[-1] == 0
 
 
 class TestCanonicalForm:
@@ -127,3 +139,99 @@ class TestRingLaws:
         assert abs(a.conjugate().to_complex() - a.to_complex().conjugate()) <= 1e-9
         # a * conj(a) lies in the real subfield
         assert abs((a * a.conjugate()).to_complex().imag) <= 1e-9
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+class TestRationalCoefficients:
+    """Integer coefficients num over one denominator den, in lowest terms."""
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_results_are_canonical(self, p, data):
+        a = data.draw(cyclo(p))
+        b = data.draw(cyclo(p))
+        for v in (a, b, a + b, a - b, a * b, -a, a.conjugate(), a.times_root(1),
+                  a * 6, a * Fraction(-4, 9), a + Fraction(1, 3), 2 - a):
+            assert_canonical(v)
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_equal_iff_pairs_equal(self, p, data):
+        a = data.draw(cyclo(p))
+        b = data.draw(cyclo(p))
+        assert (a == b) == ((a.num, a.den) == (b.num, b.den)) == (not (a - b))
+        # the same value reached another way has the same pair and hash
+        c = (a + b) - b
+        assert c == a and (c.num, c.den) == (a.num, a.den) and hash(c) == hash(a)
+
+    @settings(max_examples=100)
+    @given(cs=st.lists(st.integers(-9, 9), min_size=7, max_size=7),
+           den=st.integers(1, 12), scale=st.integers(1, 6), shift=st.integers(-5, 5))
+    def test_one_pair_per_value(self, p, cs, den, scale, shift):
+        # scaling num and den together, or adding a multiple of
+        # 1 + zeta + ... + zeta^{p-1}, does not change the value or its pair
+        cs = cs[:p]
+        a = Cyclotomic(p, cs) * Fraction(1, den)
+        b = Cyclotomic(p, [scale * c + shift for c in cs]) * Fraction(1, scale * den)
+        assert a == b
+        assert (a.num, a.den) == (b.num, b.den)
+        assert hash(a) == hash(b)
+
+    @settings(max_examples=100)
+    @given(r=st.fractions(min_value=-50, max_value=50, max_denominator=20))
+    def test_rational_value_equals_its_fraction(self, p, r):
+        for v in (Cyclotomic.from_rational(p, r),
+                  Cyclotomic(p, [r.numerator] + [0] * (p - 1)) * Fraction(1, r.denominator)):
+            assert v.is_rational
+            assert v == r and r == v
+            assert hash(v) == hash(r)
+            assert v.rational_value() == r
+            assert v.den == r.denominator
+            if r.denominator == 1:
+                assert v == r.numerator and hash(v) == hash(r.numerator)
+            else:
+                assert v != r.numerator
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_coeffs_view(self, p, data):
+        cs = data.draw(st.lists(st.integers(-9, 9), min_size=p, max_size=p))
+        den = data.draw(st.integers(1, 12))
+        a = Cyclotomic(p, cs) * Fraction(1, den)
+        assert a.coeffs == tuple(Fraction(c - cs[-1], den) for c in cs)
+        assert a.coeffs == tuple(Fraction(c, a.den) for c in a.num)
+        # integral coefficients read as ints, the others as Fractions
+        assert all(type(c) is int if c.denominator == 1 else type(c) is Fraction
+                   for c in a.coeffs)
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_to_complex_matches_fraction_floats(self, p, data):
+        a = data.draw(cyclo(p))
+        want = sum((float(c) * cmath.exp(2j * math.pi * j / p)
+                    for j, c in enumerate(a.coeffs) if c), complex(0.0))
+        assert a.to_complex() == want
+
+
+class TestIntOnlyPath:
+    def test_fraction_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            Cyclotomic(3, [Fraction(1, 2), 0, 0])
+        with pytest.raises(TypeError):
+            Cyclotomic(3, [0, 0, Fraction(2, 2)])
+        with pytest.raises(TypeError):
+            Cyclotomic(3, [0.5, 0, 0])
+
+    def test_den_one_builds_no_fraction(self, monkeypatch):
+        a = Cyclotomic(5, (2, -1, 3, 0, 1))
+        b = Cyclotomic.one(5)
+
+        def no_fraction(*args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(Fraction, "__new__", no_fraction)
+        v = (a * 3 + b) * a - 7
+        assert v.den == 1
+        assert b == 1 and a != 1 and Cyclotomic.zero(5) == 0
+        assert hash(b) == hash(1)
+        assert v.conjugate().times_root(2) != 0

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ffdist import harness
+from ffdist import gf, harness
 from ffdist.gf import make_field
 from ffdist.harness import (ExperimentConfig, build_parser, main, sample_set,
                             substream_id, threshold_sweep)
@@ -201,6 +201,45 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert not target.exists()
 
+
+class TestOutOfRange:
+    """Sizes past a cap end in exit 2 and one error line, checked before any
+    work that grows with the size."""
+
+    @pytest.mark.parametrize("argv", [
+        ["threshold-sweep", "--q", "5", "--d", "1000", "--k", "1"],
+        ["threshold-sweep", "--q", "5", "--d", "1000", "--k", "999", "--use-sharpness"],
+        ["threshold-sweep", "--q", "5", "--d", "2", "--k", "1", "--C", "1e400"],
+        ["verify-identities", "--q", "10000000000000061"],
+        ["verify-identities", "--p", "10000000000000061"],
+        ["verify-identities", "--p", "10000000000000061", "--s", "2"],
+        ["verify-identities", "--p", "3", "--s", "7"],
+        ["verify-identities", "--p", "3", "--s", "40"],
+    ])
+    def test_exit_2_one_line(self, argv, monkeypatch, capsys):
+        # a field past the size cap is refused before any primality test
+        seen = []
+        real = gf.check_odd_prime
+        monkeypatch.setattr(gf, "check_odd_prime", lambda p: seen.append(p) or real(p))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert all(p <= 2048 for p in seen)
+
+    def test_sweep_names_the_cap(self, capsys):
+        assert main(["threshold-sweep", "--q", "5", "--d", "1000", "--k", "1"]) == 2
+        assert capsys.readouterr().err == \
+            "error: q^d = 5^1000 exceeds enumeration cap 1000000\n"
+
+    def test_sharpness_runs_past_the_enumeration_cap(self, capsys):
+        # the forced example has q^(d-k) points, so q^d may exceed the cap
+        code, out = run_cli(["threshold-sweep", "--q", "5", "--d", "10", "--k", "9",
+                             "--use-sharpness"], capsys)
+        assert code == 0
+        assert json.loads(out)["records"][0]["missing_radii"] == [1, 2, 3, 4]
 
 class TestConfigFile:
     def test_missing_config_exit_2(self, tmp_path, capsys):
