@@ -11,14 +11,17 @@ enumerated over explicit coordinate subsets so that its vanishing is an
 observed cancellation rather than a consequence of how we count subsets.
 
 Neither sum visits the spectrum one frequency at a time.  Shat_k^t(m),
-A(m, t) and B(m) depend on m only through its square class (the multiset of
-squared coordinates, i.e. the orbit of m under coordinate permutations and
-sign flips, which preserve both the sphere and the dot product).  B and its
+A(m, t) and B(m) depend on m only through its square class
+(Point.square_class: the orbit of m under coordinate permutations and sign
+flips, which preserve both the sphere and the dot product).  B and its
 m1/m2/m3 split depend on m only through its zero count, which the square
-class fixes (a squared coordinate is 0 exactly when the coordinate is).  So
-each call sums |Ehat|^2 once per square class and multiplies each transform
-and weight once per class.  By distributivity the grouped sums are the
-per-frequency sums, equal as exact values.
+class fixes (a squared coordinate is 0 exactly when the coordinate is).
+spectral_energy sums |Ehat|^2 per square class once per E, and both sums
+read that mapping as it is: the result is the sum over its keys m of the
+transform at m times energy[m].  By distributivity this is the
+per-frequency sum, equal as an exact value, for any mapping whose sums per
+class equal those of |Ehat|^2; a per-frequency dict gives the same values,
+only more slowly.
 
 The direct count and the distance set read the same index loop over
 E x E, which works on element indices and builds no objects per pair.
@@ -37,8 +40,8 @@ from .characters import CharacterTable, character_table
 from .cyclotomic import Cyclotomic
 from .fourier import PointSet, spectral_energy
 from .gf import DEFAULT_CAP, Field, FieldElement, Point, enumerate_vectors
-from .geometry import (SphereSpec, _square_class, a_term, b_term,
-                       b_term_alpha_range, sphere_ft)
+from .geometry import (SphereSpec, a_term, b_term, b_term_alpha_range,
+                       sphere_ft)
 
 
 def distance_set(E: PointSet, k: int) -> list[FieldElement]:
@@ -98,7 +101,11 @@ def nu_spectral(E: PointSet, t: FieldElement, k: int,
                 table: Optional[CharacterTable] = None,
                 energy: Optional[dict[Point, Cyclotomic]] = None,
                 cap: int = DEFAULT_CAP) -> Fraction:
-    """nu_E(t) via q^{2d} sum_m Shat_k^t(m) |Ehat(m)|^2 (exact rational)."""
+    """nu_E(t) via q^{2d} sum_m Shat_k^t(m) |Ehat(m)|^2 (exact rational).
+
+    energy defaults to spectral_energy(E, cap), |Ehat|^2 summed per square
+    class; the sum runs over its keys, one sphere_ft per key.
+    """
     f = E.field
     d = E.d
     if table is None:
@@ -108,23 +115,9 @@ def nu_spectral(E: PointSet, t: FieldElement, k: int,
     spec = SphereSpec(k, t)
     mode = "brute" if t.is_zero else "closed"
     total = Cyclotomic.zero(f.p)
-    for m, e in _energy_by(f, energy):
+    for m, e in energy.items():
         total = total + sphere_ft(table, m, spec, mode, cap) * e
     return (total * (f.q ** (2 * d))).rational_value()
-
-
-def _energy_by(f: Field, energy: dict[Point, Cyclotomic]) -> list[tuple[Point, Cyclotomic]]:
-    """(representative m, sum of |Ehat|^2 over its square class) for each
-    square class of frequencies, in order of first appearance.  Frequencies
-    with zero energy are left out.
-    """
-    groups: dict = {}
-    for m, e in energy.items():
-        if e:
-            g = _square_class(f, m)
-            rep, acc = groups.get(g, (m, None))
-            groups[g] = (rep, e if acc is None else acc + e)
-    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +199,11 @@ def bounds(E: PointSet, t: FieldElement, k: int,
            table: Optional[CharacterTable] = None,
            energy: Optional[dict[Point, Cyclotomic]] = None,
            cap: int = DEFAULT_CAP) -> BoundReport:
-    """Evaluate the A-part bound and the full B-decomposition for (E, t, k)."""
+    """Evaluate the A-part bound and the full B-decomposition for (E, t, k).
+
+    energy is read as in nu_spectral: one a_term, B value and weight triple
+    per key of spectral_energy's per-class sums.
+    """
     if t.is_zero:
         raise ValueError("bounds are defined for t != 0")
     f = E.field
@@ -219,7 +216,7 @@ def bounds(E: PointSet, t: FieldElement, k: int,
 
     zero = Cyclotomic.zero(f.p)
     a_total = b_sum = b_main = b_aux = m1 = m2 = m3 = zero
-    for m, e in _energy_by(f, energy):
+    for m, e in energy.items():
         a_total = a_total + e * a_term(table, m, t, k)
         b_sum = b_sum + e * b_term(f, m, k)
         b_main = b_main + e * b_term_alpha_range(f, m, 0, d)
@@ -254,11 +251,10 @@ def sharpness_example(field: Field, d: int, k: int, cap: int = DEFAULT_CAP) -> P
     """E = F_q^{d-k} x {0}^k: a set of size q^{d-k} with D_k(E) = {0}."""
     if not 1 <= k <= d:
         raise ValueError(f"k must lie in [1, {d}], got {k}")
-    if field.q ** (d - k) > cap:
-        raise ValueError("sharpness example exceeds enumeration cap")
     if k == d:
         pts = [Point(field, (0,) * d)]
     else:
+        # enumerate_vectors refuses q^(d-k) > cap before forming it
         pts = [Point(field, head.idx + (0,) * k)
                for head in enumerate_vectors(field, d - k, cap)]
     return PointSet(field, d, pts)

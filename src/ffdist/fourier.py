@@ -1,10 +1,12 @@
 """Normalized discrete Fourier transform on F_q^d over exact cyclotomic values.
 
-fhat(m) = q^{-d} sum_x f(x) chi(-x.m), with the naive O(q^{2d}) evaluation:
-at desk scale exactness beats speed, and F_q^d has no radix structure to
-exploit.  dft is the general route over any exact values; dft_indicator
-takes a fast path that only histograms trace residues over the support, and
-the tests check the two against each other.
+fhat(m) = q^{-d} sum_x f(x) chi(-x.m), evaluated directly over the support
+for every m.  The character factors over the coordinates,
+chi(-x.m) = prod_i chi(-x_i m_i), so a coordinate-at-a-time transform in
+O(d q^{d+1}) products (the radix-q structure an FFT uses) exists; it is not
+implemented here.  dft is the general route over any exact values;
+dft_indicator takes a fast path that only histograms trace residues over
+the support, and the tests check the two against each other.
 """
 
 from __future__ import annotations
@@ -141,9 +143,21 @@ def inverse_dft(table: FourierTable, cap: int = DEFAULT_CAP) -> dict[Point, Cycl
 
 
 def spectral_energy(E: PointSet, cap: int = DEFAULT_CAP) -> dict[Point, Cyclotomic]:
-    """|Ehat(m)|^2 = Ehat(m) * conj(Ehat(m)), kept exact per frequency."""
-    table = dft_indicator(E, cap)
-    return {m: v * v.conjugate() for m, v in table.items()}
+    """|Ehat|^2 summed per square class: m -> sum of |Ehat(m')|^2 over the
+    frequencies m' with m'.square_class() == m.square_class().
+
+    Each key is the first frequency of its class in lexicographic order, and
+    classes whose energy is zero are left out (a sum of |Ehat|^2 >= 0 is
+    zero only when every term is).  The sphere transforms that nu_spectral
+    and bounds multiply are constant on a class, so they need only these
+    sums, which depend on neither t nor k and are formed once per E here.
+    """
+    classes: dict[tuple[int, ...], tuple[Point, Cyclotomic]] = {}
+    for m, v in dft_indicator(E, cap).items():  # lexicographic order
+        key = m.square_class()
+        rep, acc = classes.get(key, (m, 0))
+        classes[key] = (rep, v * v.conjugate() + acc)
+    return {m: e for m, e in classes.values() if e}
 
 
 def plancherel_check(E: PointSet, cap: int = DEFAULT_CAP) -> tuple[Fraction, Fraction]:

@@ -131,18 +131,14 @@ def lemma31_sum(table: CharacterTable, d: int, alpha: int, s: FieldElement,
 # the sphere transform: A(m, t) + B(m)
 # ---------------------------------------------------------------------------
 
-def _square_class(field: Field, m: Point) -> tuple[int, ...]:
-    # the transform is symmetric under coordinate permutations and sign
-    # flips, so it only depends on the multiset of squared coordinates
-    return tuple(sorted(field._mul[c][c] for c in m.idx))
-
-
 def _a_inner(table: CharacterTable, m: Point, k: int) -> list[Cyclotomic]:
     """For each nonzero s (by index 1..q-1): sum over alpha < k of the
-    subset sums of the quadratic factors.  Cached per square-class."""
+    subset sums of the quadratic factors.  Cached per square class, on
+    which the transform depends only (it is symmetric under coordinate
+    permutations and sign flips)."""
     f = table.field
     d = m.d
-    key = ("a", d, k, _square_class(f, m))
+    key = ("a", d, k, m.square_class())
     cached = table.a_inner_cache.get(key)
     if cached is not None:
         return cached
@@ -205,7 +201,7 @@ def sphere_ft(table: CharacterTable, m: Point, spec: SphereSpec, mode: str = "cl
         raise ValueError(f"mode must be 'closed' or 'brute', got {mode!r}")
     if spec.t.is_zero:
         raise ValueError("the closed form is valid only for t != 0; use mode='brute'")
-    key = ("sft", d, spec.k, spec.t.index, _square_class(f, m))
+    key = ("sft", d, spec.k, spec.t.index, m.square_class())
     cached = table.sphere_cache.get(key)
     if cached is None:
         total = a_term(table, m, spec.t, spec.k) + b_term(f, m, spec.k)

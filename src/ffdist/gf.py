@@ -447,6 +447,16 @@ class Point:
         """Number of zero coordinates."""
         return sum(1 for a in self.idx if a == 0)
 
+    def square_class(self) -> tuple[int, ...]:
+        """The sorted indices of the squared coordinates.
+
+        Two points share it exactly when one is the other with coordinates
+        permuted and signs flipped (c'^2 = c^2 only for c' = +-c), which
+        preserves the k-norm and the dot product.
+        """
+        mul = self.field._mul
+        return tuple(sorted(mul[c][c] for c in self.idx))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Point):
             return NotImplemented
@@ -467,9 +477,19 @@ def point_from_index(field: Field, d: int, index: int) -> Point:
     return Point(field, reversed(coords))
 
 
+def space_size(q: int, d: int, cap: int) -> int:
+    """|F_q^d| = q^d, refusing d < 1 and q^d > cap.
+
+    2^d > cap once d exceeds the cap's bit length, so a huge d is refused
+    before q**d is formed, and the message names q and d, not q^d.
+    """
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    if d > cap.bit_length() or q**d > cap:
+        raise ValueError(f"q^d = {q}^{d} exceeds enumeration cap {cap}")
+    return q**d
+
+
 def enumerate_vectors(field: Field, d: int, cap: int = DEFAULT_CAP) -> list[Point]:
     """All q^d points in lexicographic order (first coordinate most significant)."""
-    n = field.q**d
-    if n > cap:
-        raise ValueError(f"enumeration of {n} points exceeds cap {cap}")
-    return [point_from_index(field, d, i) for i in range(n)]
+    return [point_from_index(field, d, i) for i in range(space_size(field.q, d, cap))]

@@ -31,7 +31,7 @@ from .distance import (bounds, distance_set, nu_direct_all, nu_spectral,
 from .fourier import PointSet, spectral_energy
 from .geometry import SphereSpec, sphere_ft
 from .gf import (DEFAULT_CAP, Field, Point, enumerate_vectors,
-                 factor_prime_power, make_field, point_from_index)
+                 factor_prime_power, make_field, point_from_index, space_size)
 
 CSV_COLUMNS = ("q", "p", "s", "d", "k", "t", "size", "trial", "metric", "value")
 
@@ -48,11 +48,9 @@ def substream_id(seed: int, trial: int, label: str = "sample") -> int:
 def sample_set(field: Field, d: int, size: int, seed: int, trial: int,
                cap: int = DEFAULT_CAP) -> PointSet:
     """Uniform without-replacement sample of F_q^d, deterministic in (seed, trial)."""
-    n = field.q**d
+    n = space_size(field.q, d, cap)
     if size > n:
         raise ValueError(f"sample size {size} exceeds |F_q^d| = {n}")
-    if n > cap:
-        raise ValueError(f"q^d = {n} exceeds enumeration cap {cap}")
     rng = random.Random(substream_id(seed, trial))
     indices = sorted(rng.sample(range(n), size))
     return PointSet(field, d, [point_from_index(field, d, i) for i in indices])
@@ -88,11 +86,7 @@ class ExperimentConfig:
                              "is out of range") from None
 
     def resolve_sizes(self, q: int) -> tuple[int, ...]:
-        # q^d > cap is refused before any size arithmetic; 2^d > cap already
-        # once d exceeds the cap's bit length, so q**d is never huge
-        if self.d > self.cap.bit_length() or q**self.d > self.cap:
-            raise ValueError(f"q^d = {q}^{self.d} exceeds enumeration cap {self.cap}")
-        n = q**self.d
+        n = space_size(q, self.d, self.cap)  # before any size arithmetic
         if self.size_grid is not None:
             sizes = self.size_grid
             if any(not 1 <= s <= n for s in sizes):
@@ -136,16 +130,16 @@ def threshold_sweep(field: Field, config: ExperimentConfig,
 
     q = field.q
     records: list[SweepRecord] = []
-    sizes = ((field.q ** (config.d - config.k),) if force_sharpness
-             else config.resolve_sizes(q))
+    # the example is built (and its size checked) once, before any q^(d-k)
+    sharp = (sharpness_example(field, config.d, config.k, config.cap)
+             if force_sharpness else None)
+    sizes = (len(sharp),) if sharp is not None else config.resolve_sizes(q)
     for size in sizes:
         for trial in range(config.trials):
             start = time.perf_counter()
             sub = substream_id(config.seed, trial)
-            if force_sharpness:
-                E = sharpness_example(field, config.d, config.k, config.cap)
-            else:
-                E = sample_set(field, config.d, size, config.seed, trial, config.cap)
+            E = sharp if sharp is not None else sample_set(
+                field, config.d, size, config.seed, trial, config.cap)
             found = _distance_indices(E, config.k)
             missing = tuple(sorted(set(range(q)) - found))
             xcheck = random.Random(substream_id(config.seed, trial, f"xcheck:{size}"))

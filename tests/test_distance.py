@@ -13,7 +13,8 @@ from ffdist import distance
 from ffdist.distance import (BoundReport, _distance_indices,
                              alternating_binomial_sum, bounds, distance_set,
                              nu_direct_all, nu_spectral, sharpness_example)
-from ffdist.fourier import PointSet, spectral_energy
+from ffdist.fourier import (PointSet, dft_indicator, plancherel_check,
+                            spectral_energy)
 from ffdist.geometry import (SphereSpec, a_term, b_term, b_term_alpha_range,
                              k_norm, sphere_ft)
 from ffdist.gf import (Point, enumerate_vectors, factor_prime_power, make_field,
@@ -305,21 +306,100 @@ class TestDirectRoute:
         assert len(rows) < len(E)
 
 
+def _per_frequency_energy(E):
+    # |Ehat(m)|^2 at every frequency, ungrouped
+    return {m: v * v.conjugate() for m, v in dft_indicator(E).items()}
+
+
 class TestGroupedSpectrum:
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(E=small_sets())
     def test_matches_per_frequency_loops(self, E):
+        # the reference loops see every frequency; nu_spectral and bounds
+        # give the same values on the per-class sums and on the
+        # per-frequency dict
         f = E.field
         table = character_table(f)
-        energy = spectral_energy(E)
+        grouped = spectral_energy(E)
+        per_freq = _per_frequency_energy(E)
         for k in range(1, E.d + 1):
             for t in f.elements:
-                assert (nu_spectral(E, t, k, table, energy)
-                        == _reference_nu_spectral(E, t, k, table, energy))
+                want = _reference_nu_spectral(E, t, k, table, per_freq)
+                assert nu_spectral(E, t, k, table, grouped) == want
+                assert nu_spectral(E, t, k, table, per_freq) == want
                 if not t.is_zero:
-                    assert (bounds(E, t, k, table, energy)
-                            == _reference_bounds(E, t, k, table, energy))
+                    want = _reference_bounds(E, t, k, table, per_freq)
+                    assert bounds(E, t, k, table, grouped) == want
+                    assert bounds(E, t, k, table, per_freq) == want
+
+
+def _classes(f, d):
+    # square class -> its frequencies, each list in lexicographic order
+    out = {}
+    for m in enumerate_vectors(f, d):
+        out.setdefault(m.square_class(), []).append(m)
+    return out
+
+
+class TestSpectralEnergy:
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(E=small_sets())
+    @example(E=_full_space(3, 2))
+    def test_one_key_per_class_with_its_sum(self, E):
+        per_freq = _per_frequency_energy(E)
+        sums = {}
+        for members in _classes(E.field, E.d).values():
+            total = Cyclotomic.zero(E.field.p)
+            for m in members:
+                total = total + per_freq[m]
+            if total:
+                sums[min(members, key=lambda m: m.idx)] = total
+        assert spectral_energy(E) == sums
+        total, expected = plancherel_check(E)
+        assert total == expected
+
+    def test_every_class_of_a_point(self):
+        # a one-point set has |Ehat(m)|^2 = q^{-2d} at every m
+        f = make_field(5)
+        E = PointSet(f, 3, [point_from_index(f, 3, 7)])
+        classes = _classes(f, 3)
+        assert len(classes) == 10
+        assert spectral_energy(E) == {members[0]: Fraction(len(members), 5**6)
+                                      for members in classes.values()}
+
+
+class TestWorkCounts:
+    """One transform per square class per call: the grouping is done once,
+    in spectral_energy, and nu_spectral and bounds do not redo it."""
+
+    def test_one_call_per_key(self, monkeypatch):
+        f = make_field(5)
+        table = character_table(f)
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(distance, name, wrapped)
+
+        counting("sphere_ft", distance.sphere_ft)
+        counting("a_term", distance.a_term)
+        for size in (1, 3, 5, 25, 125):
+            E = random_subset(f, 3, size, seed=size)
+            energy = spectral_energy(E)
+            assert len(energy) <= 10  # the square classes of F_5^3
+            for k in range(1, 4):
+                for t in f.elements:
+                    calls.clear()
+                    nu_spectral(E, t, k, table, energy)
+                    assert calls == {"sphere_ft": len(energy)}
+                    if not t.is_zero:
+                        calls.clear()
+                        bounds(E, t, k, table, energy)
+                        assert calls == {"a_term": len(energy)}
 
 
 class TestSharpness:

@@ -5,9 +5,8 @@ import pytest
 
 from ffdist.characters import CharacterTable, character_table
 from ffdist.cyclotomic import Cyclotomic
-from ffdist.geometry import (SphereSpec, _square_class, a_term, b_term, k_norm,
-                             lemma31_sum, sphere_ft, sphere_points, stratum,
-                             stratum_sum_brute)
+from ffdist.geometry import (SphereSpec, a_term, b_term, k_norm, lemma31_sum,
+                             sphere_ft, sphere_points, stratum, stratum_sum_brute)
 from ffdist.gf import (Point, enumerate_vectors, factor_prime_power,
                        make_field, point_from_index)
 
@@ -200,12 +199,12 @@ class TestSquareClassInvariance:
         f, table = setup_q(q)
         first = {}
         for m in enumerate_vectors(f, d):
-            first.setdefault(_square_class(f, m), m)
+            first.setdefault(m.square_class(), m)
         for k in range(1, d + 1):
             for t in f.elements:
                 spec = SphereSpec(k, t)
                 for m in enumerate_vectors(f, d):
-                    rep = first[_square_class(f, m)]
+                    rep = first[m.square_class()]
                     assert sphere_ft(table, m, spec, "brute") == \
                         sphere_ft(table, rep, spec, "brute")
                     if t.is_zero:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -6,7 +7,8 @@ import pytest
 from ffdist.cyclotomic import Cyclotomic
 from ffdist.gf import (Field, FieldElement, Point, _poly_mul, _poly_powmod,
                        _poly_rem, _poly_trim, enumerate_vectors,
-                       factor_prime_power, make_field, point_from_index)
+                       factor_prime_power, make_field, point_from_index,
+                       space_size)
 
 ODD_PRIME_POWERS_49 = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49]
 ODD_PRIME_POWERS_125 = ODD_PRIME_POWERS_49 + [
@@ -292,3 +294,25 @@ class TestVectors:
     def test_cap(self):
         with pytest.raises(ValueError):
             enumerate_vectors(make_field(3), 2, cap=5)
+
+    def test_space_size(self):
+        assert space_size(3, 2, 9) == 9
+        with pytest.raises(ValueError, match=r"^q\^d = 3\^3 exceeds enumeration cap 26$"):
+            space_size(3, 3, 26)
+        # past the cap's bit length the message names q and d, not q^d
+        with pytest.raises(ValueError, match=r"^q\^d = 3\^3000000 exceeds"):
+            space_size(3, 3_000_000, 10**6)
+        for d in (0, -1):
+            with pytest.raises(ValueError, match="dimension must be >= 1"):
+                space_size(3, d, 10**6)
+
+    def test_square_class(self):
+        # the class is the orbit under coordinate permutations and sign
+        # flips: in GF(5), 1 and 4 square to 1, 2 and 3 to 4
+        f = make_field(5)
+        assert Point(f, (2, 0, 1)).square_class() == (0, 1, 4)
+        orbit = {tuple(sign * c % 5 for sign, c in zip(signs, perm))
+                 for perm in itertools.permutations((2, 0, 1))
+                 for signs in itertools.product((1, -1), repeat=3)}
+        assert {x.idx for x in enumerate_vectors(f, 3)
+                if x.square_class() == (0, 1, 4)} == orbit

@@ -229,6 +229,28 @@ class TestOutOfRange:
         assert captured.err.count("\n") == 1
         assert all(p <= 2048 for p in seen)
 
+    @pytest.mark.parametrize("argv", [
+        ["nu", "--q", "3", "--d", "3000000", "--k", "1", "--size", "1"],
+        ["sphere-ft", "--q", "3", "--d", "3000000", "--k", "1", "--t", "1"],
+        ["distance-set", "--q", "3", "--d", "3000000", "--k", "1", "--size", "1"],
+        ["sharpness", "--q", "3", "--d", "3000000", "--k", "1"],
+        ["threshold-sweep", "--q", "3", "--d", "3000000", "--k", "1",
+         "--use-sharpness"],
+        ["nu", "--q", "3", "--d", "-1", "--k", "1", "--size", "0"],
+        ["distance-set", "--q", "3", "--d", "-1", "--k", "1", "--size", "0"],
+    ])
+    def test_dimension_refused_before_q_to_the_d(self, argv, capsys):
+        # a huge or negative d is refused before q**d is formed, with a
+        # message naming the cap or the dimension (not a 4300-digit limit
+        # or a float passed to range)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "enumeration cap" in captured.err or "dimension" in captured.err
+
     def test_sweep_names_the_cap(self, capsys):
         assert main(["threshold-sweep", "--q", "5", "--d", "1000", "--k", "1"]) == 2
         assert capsys.readouterr().err == \
