@@ -11,8 +11,8 @@ from .cyclotomic import Cyclotomic
 from .distance import (BoundReport, alternating_binomial_sum, bounds,
                        distance_set, nu_direct_all, nu_spectral,
                        sharpness_example)
-from .fourier import (FourierTable, PointSet, dft, dft_indicator, inverse_dft,
-                      plancherel_check, spectral_energy)
+from .fourier import (PointSet, dft, dft_indicator, inverse_dft, plancherel_check,
+                      spectral_energy)
 from .geometry import (SphereSpec, a_term, b_term, k_norm, lemma31_sum,
                        sphere_ft, sphere_points, stratum, stratum_sum_brute)
 from .gf import (Field, FieldElement, Point, enumerate_vectors,
@@ -22,7 +22,7 @@ from .harness import (ExperimentConfig, SweepRecord, main, sample_set,
 
 __all__ = [
     "BoundReport", "CharacterTable", "Cyclotomic", "ExperimentConfig",
-    "Field", "FieldElement", "FourierTable", "Point", "PointSet",
+    "Field", "FieldElement", "Point", "PointSet",
     "SphereSpec", "SweepRecord",
     "a_term", "alternating_binomial_sum", "b_term", "bounds",
     "character_table", "dft", "dft_indicator", "distance_set",

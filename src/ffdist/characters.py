@@ -4,6 +4,9 @@ The canonical additive character is chi_1(c) = zeta_p^{Tr(c)}; the general
 chi_b(c) is evaluated as chi_1(b*c) rather than tabulated per b.  All sums
 return exact Cyclotomic values; magnitude statements (|G_1| = sqrt(q), the
 Weil bound for Kloosterman sums) are checked through the complex embedding.
+gauss_sum, kloosterman and the vector sum of gauss_identities run on element
+indices through the field's tables (x.u through Field.dot), with no element
+or Point object per term.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .cyclotomic import Cyclotomic
-from .gf import Field, FieldElement, Point, enumerate_vectors
+from .gf import Field, FieldElement, Point, index_vectors, point_indices
 
 SQRT_TOL = 1e-6
 
@@ -122,10 +125,9 @@ def gauss_identities(table: CharacterTable, a: FieldElement, b: FieldElement,
     rhs2 = eta_a * g1 * table.chi(-(b * b) * inv4a)
 
     d = v.d
-    a_elem = a
-    counts = Counter()
-    for u in enumerate_vectors(f, d):
-        counts[(a_elem * u.norm() + v.dot(u)).trace()] += 1
+    vi = point_indices(f, d, v)
+    row, dot, add, trace = f._mul[a.index], f.dot, f._add, f._trace
+    counts = Counter(trace[add[row[dot(u, u)]][dot(vi, u)]] for u in index_vectors(f, d))
     lhs3 = table.chi_sum(counts)
     rhs3 = (eta_a**d) * (g1**d) * table.chi(-(v.norm() * inv4a))
 

@@ -7,6 +7,10 @@ O(d q^{d+1}) products (the radix-q structure an FFT uses) exists; it is not
 implemented here.  dft is the general route over any exact values;
 dft_indicator takes a fast path that only histograms trace residues over
 the support, and the tests check the two against each other.
+
+Transforms are plain dicts keyed by Point.  The keys of an input mapping
+are checked once; the loops then run on index tuples and reach x.m through
+Field.dot, so no Point or FieldElement is built per (x, m) term.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .cyclotomic import Cyclotomic
-from .gf import DEFAULT_CAP, Field, Point, enumerate_vectors
+from .gf import DEFAULT_CAP, Field, Point, enumerate_vectors, point_indices
 
 Value = Union[Cyclotomic, int, Fraction]
 
@@ -30,11 +34,7 @@ class PointSet:
     def __init__(self, field: Field, d: int, members: Iterable[Point]) -> None:
         if d < 1:
             raise ValueError("dimension must be >= 1")
-        seen: dict[tuple[int, ...], Point] = {}
-        for pt in members:
-            if not isinstance(pt, Point) or pt.field is not field or pt.d != d:
-                raise ValueError(f"{pt!r} does not belong to GF({field.q})^{d}")
-            seen[pt.idx] = pt
+        seen = {point_indices(field, d, pt): pt for pt in members}
         self.field = field
         self.d = d
         self.points = tuple(sorted(seen.values(), key=lambda p: p.idx))
@@ -65,73 +65,57 @@ class PointSet:
         return f"PointSet(q={self.field.q}, d={self.d}, size={len(self)})"
 
 
-class FourierTable:
-    """A complete table of Fourier coefficients m -> fhat(m)."""
-
-    __slots__ = ("field", "d", "values")
-
-    def __init__(self, field: Field, d: int, values: Mapping[Point, Cyclotomic]) -> None:
-        if len(values) != field.q**d:
-            raise ValueError("Fourier table must cover all q^d frequencies")
-        self.field = field
-        self.d = d
-        self.values = dict(values)
-
-    def __getitem__(self, m: Point) -> Cyclotomic:
-        return self.values[m]
-
-    def items(self):
-        return self.values.items()
-
-
-def dft(field: Field, d: int, f: Mapping[Point, Value], cap: int = DEFAULT_CAP) -> FourierTable:
+def dft(field: Field, d: int, f: Mapping[Point, Value],
+        cap: int = DEFAULT_CAP) -> dict[Point, Cyclotomic]:
     """Transform of a function given by its support (absent points are 0)."""
     domain = enumerate_vectors(field, d, cap)
     p = field.p
     scale = Fraction(1, field.q**d)
-    support = [(x, v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(p, v))
+    support = [(point_indices(field, d, x),
+                v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(p, v))
                for x, v in f.items() if v]
-    trace, neg = field._trace, field._neg
+    dot, trace, neg = field.dot, field._trace, field._neg
     values: dict[Point, Cyclotomic] = {}
     for m in domain:
         acc = Cyclotomic.zero(p)
         for x, v in support:
-            acc = acc + v.times_root(trace[neg[x.dot(m).index]])
+            acc = acc + v.times_root(trace[neg[dot(x, m.idx)]])
         values[m] = acc * scale
-    return FourierTable(field, d, values)
+    return values
 
 
-def dft_indicator(E: PointSet, cap: int = DEFAULT_CAP) -> FourierTable:
+def dft_indicator(E: PointSet, cap: int = DEFAULT_CAP) -> dict[Point, Cyclotomic]:
     """Ehat(m) = q^{-d} sum over x in E of chi(-x.m)."""
     field = E.field
     domain = enumerate_vectors(field, E.d, cap)
     scale = Fraction(1, field.q**E.d)
-    trace, neg = field._trace, field._neg
+    dot, trace, neg = field.dot, field._trace, field._neg
+    pts = [x.idx for x in E]
     values: dict[Point, Cyclotomic] = {}
     for m in domain:
-        counts: Counter = Counter()
-        for x in E:
-            counts[trace[neg[x.dot(m).index]]] += 1
+        counts = Counter(trace[neg[dot(x, m.idx)]] for x in pts)
         values[m] = Cyclotomic.from_counts(field.p, counts) * scale
-    return FourierTable(field, E.d, values)
+    return values
 
 
-def inverse_dft(table: FourierTable, cap: int = DEFAULT_CAP) -> dict[Point, Cyclotomic]:
-    """f(x) = sum_m chi(m.x) fhat(m); exact inverse of dft."""
-    field = table.field
-    domain = enumerate_vectors(field, table.d, cap)
+def inverse_dft(field: Field, d: int, fhat: Mapping[Point, Cyclotomic],
+                cap: int = DEFAULT_CAP) -> dict[Point, Cyclotomic]:
+    """f(x) = sum_m chi(m.x) fhat(m); exact inverse of dft (absent
+    frequencies are 0)."""
+    domain = enumerate_vectors(field, d, cap)
     p = field.p
-    trace = field._trace
+    dot, trace = field.dot, field._trace
     # every value is carried over the lcm of the denominators, so the sums
     # run on ints and each f(x) is divided once
-    den = math.lcm(*(v.den for _, v in table.items()))
-    items = [(m, [c * (den // v.den) for c in v.num]) for m, v in table.items() if v]
+    den = math.lcm(*(v.den for v in fhat.values()))
+    items = [(point_indices(field, d, m), [c * (den // v.den) for c in v.num])
+             for m, v in fhat.items() if v]
     scale = Fraction(1, den)
     out: dict[Point, Cyclotomic] = {}
     for x in domain:
         acc = [0] * p
         for m, c in items:
-            j = trace[m.dot(x).index]
+            j = trace[dot(m, x.idx)]
             for i, ci in enumerate(c):
                 if ci:
                     k = i + j

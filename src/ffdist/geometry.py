@@ -11,19 +11,23 @@ Sums over coordinate subsets I of a fixed size are evaluated as elementary
 symmetric functions of per-coordinate factors, since every factor depends
 only on its own coordinate; this is exactly the subset expansion, just
 computed in O(d^2) instead of O(2^d) products.
+
+The brute routes (sphere_ft mode="brute", stratum_sum_brute) enumerate the
+cached point sets and work on index tuples through Field.dot.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import List, Sequence
 
-from .characters import CharacterTable
+from .characters import CharacterTable, _check_field
 from .cyclotomic import Cyclotomic
 from .fourier import PointSet
-from .gf import DEFAULT_CAP, Field, FieldElement, Point, enumerate_vectors
+from .gf import DEFAULT_CAP, Field, FieldElement, Point, enumerate_vectors, point_indices
 
 
 @dataclass(frozen=True)
@@ -98,12 +102,12 @@ def _quadratic_factors(table: CharacterTable, s: FieldElement, m: Point) -> list
 def stratum_sum_brute(table: CharacterTable, d: int, alpha: int, s: FieldElement,
                       m: Point, cap: int = DEFAULT_CAP) -> Cyclotomic:
     """sum over x in N_alpha of chi(s ||x|| - m.x), by direct enumeration."""
-    from collections import Counter
-
     f = table.field
-    counts: Counter = Counter()
-    for x in stratum(f, d, alpha, cap):
-        counts[(s * x.norm() - m.dot(x)).trace()] += 1
+    _check_field(table, s)
+    mi = point_indices(f, d, m)
+    row, dot, add, neg, trace = f._mul[s.index], f.dot, f._add, f._neg, f._trace
+    counts = Counter(trace[add[row[dot(x.idx, x.idx)]][neg[dot(mi, x.idx)]]]
+                     for x in stratum(f, d, alpha, cap))
     return table.chi_sum(counts)
 
 
@@ -191,11 +195,10 @@ def sphere_ft(table: CharacterTable, m: Point, spec: SphereSpec, mode: str = "cl
     d = m.d
     spec.validate(d)
     if mode == "brute":
-        from collections import Counter
-
-        counts: Counter = Counter()
-        for x in sphere_points(f, d, spec.k, spec.t, cap):
-            counts[(-m.dot(x)).trace()] += 1
+        mi = point_indices(f, d, m)
+        dot, trace, neg = f.dot, f._trace, f._neg
+        pts = sphere_points(f, d, spec.k, spec.t, cap)
+        counts = Counter(trace[neg[dot(x.idx, mi)]] for x in pts)
         return table.chi_sum(counts) * Fraction(1, f.q**d)
     if mode != "closed":
         raise ValueError(f"mode must be 'closed' or 'brute', got {mode!r}")

@@ -10,6 +10,10 @@ which products, inverses, negatives, the quadratic character and Frobenius
 follow) plus digitwise addition rows cut from one shared list of ints, so a
 build is O(q*s) polynomial work plus q^2 list copies.
 
+Points of F_q^d are tuples of element indices.  Point is the checked public
+type; the enumeration loops of the other modules run on the index tuples
+themselves and reach x.m through Field.dot, which builds no object per term.
+
 The defining modulus is chosen deterministically (smallest monic irreducible
 polynomial of degree s in base-p coefficient order) so that GF(9), GF(25),
 GF(27), ... are identical across runs and platforms.  A user-supplied
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .cyclotomic import check_odd_prime
@@ -348,6 +353,14 @@ class Field:
         """Quadratic character: +1 on nonzero squares, -1 on nonsquares, 0 at 0."""
         return self._quad[a.index]
 
+    def dot(self, a: Sequence[int], b: Sequence[int]) -> int:
+        """Index of sum a_i b_i for index tuples a and b, unchecked."""
+        add, mul = self._add, self._mul
+        acc = 0
+        for x, y in zip(a, b):
+            acc = add[acc][mul[x][y]]
+        return acc
+
     def __repr__(self) -> str:
         return f"Field(p={self.p}, s={self.s}, modulus={self.modulus})"
 
@@ -422,26 +435,13 @@ class Point:
         add, neg = self.field._add, self.field._neg
         return Point(self.field, (add[a][neg[b]] for a, b in zip(self.idx, other.idx)))
 
-    def __add__(self, other: "Point") -> "Point":
-        self._check(other)
-        add = self.field._add
-        return Point(self.field, (add[a][b] for a, b in zip(self.idx, other.idx)))
-
     def dot(self, other: "Point") -> FieldElement:
         self._check(other)
-        add, mul = self.field._add, self.field._mul
-        acc = 0
-        for a, b in zip(self.idx, other.idx):
-            acc = add[acc][mul[a][b]]
-        return self.field.elements[acc]
+        return self.field.elements[self.field.dot(self.idx, other.idx)]
 
     def norm(self) -> FieldElement:
         """Sum of squared coordinates."""
-        add, mul = self.field._add, self.field._mul
-        acc = 0
-        for a in self.idx:
-            acc = add[acc][mul[a][a]]
-        return self.field.elements[acc]
+        return self.field.elements[self.field.dot(self.idx, self.idx)]
 
     def zero_count(self) -> int:
         """Number of zero coordinates."""
@@ -469,6 +469,13 @@ class Point:
         return f"Point{self.idx}"
 
 
+def point_indices(field: Field, d: int, pt) -> tuple[int, ...]:
+    """The index tuple of pt, once pt is checked to be a Point of GF(q)^d."""
+    if not isinstance(pt, Point) or pt.field is not field or pt.d != d:
+        raise ValueError(f"{pt!r} does not belong to GF({field.q})^{d}")
+    return pt.idx
+
+
 def point_from_index(field: Field, d: int, index: int) -> Point:
     coords = []
     for _ in range(d):
@@ -485,11 +492,23 @@ def space_size(q: int, d: int, cap: int) -> int:
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if d > cap.bit_length() or q**d > cap:
+    if not within_cap(q, d, cap):
         raise ValueError(f"q^d = {q}^{d} exceeds enumeration cap {cap}")
     return q**d
 
 
+def within_cap(q: int, d: int, cap: int) -> bool:
+    """q^d <= cap, decided without forming q**d once 2^d > cap."""
+    return d <= cap.bit_length() and q**d <= cap
+
+
+def index_vectors(field: Field, d: int, cap: int = DEFAULT_CAP) -> Iterable[tuple[int, ...]]:
+    """The index tuples of all q^d points in lexicographic order (first
+    coordinate most significant), after the cap check."""
+    space_size(field.q, d, cap)
+    return product(range(field.q), repeat=d)
+
+
 def enumerate_vectors(field: Field, d: int, cap: int = DEFAULT_CAP) -> list[Point]:
-    """All q^d points in lexicographic order (first coordinate most significant)."""
-    return [point_from_index(field, d, i) for i in range(space_size(field.q, d, cap))]
+    """All q^d points in lexicographic order."""
+    return [Point(field, idx) for idx in index_vectors(field, d, cap)]

@@ -30,8 +30,8 @@ from .distance import (bounds, distance_set, nu_direct_all, nu_spectral,
                        sharpness_example)
 from .fourier import PointSet, spectral_energy
 from .geometry import SphereSpec, sphere_ft
-from .gf import (DEFAULT_CAP, Field, Point, enumerate_vectors,
-                 factor_prime_power, make_field, point_from_index, space_size)
+from .gf import (DEFAULT_CAP, Field, Point, enumerate_vectors, factor_prime_power,
+                 make_field, point_from_index, space_size, within_cap)
 
 CSV_COLUMNS = ("q", "p", "s", "d", "k", "t", "size", "trial", "metric", "value")
 
@@ -58,8 +58,6 @@ def sample_set(field: Field, d: int, size: int, seed: int, trial: int,
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    p: int
-    s: int
     d: int
     k: int
     C: Fraction = Fraction(4)
@@ -125,6 +123,11 @@ def threshold_sweep(field: Field, config: ExperimentConfig,
 
     With force_sharpness the sampled set is replaced by the axis-aligned
     example of size q^{d-k}, whose k-distance set is {0}.
+
+    Checks: every sharpness trial checks that its direct distance set is
+    exactly {0}, and every trial draws the 5% spectral cross-check if
+    q^d <= cap.  Only the sharpness example can lie past the cap, where the
+    spectral route cannot enumerate the frequencies and nothing is drawn.
     """
     from .distance import _distance_indices
 
@@ -134,6 +137,7 @@ def threshold_sweep(field: Field, config: ExperimentConfig,
     sharp = (sharpness_example(field, config.d, config.k, config.cap)
              if force_sharpness else None)
     sizes = (len(sharp),) if sharp is not None else config.resolve_sizes(q)
+    spectral = within_cap(q, config.d, config.cap)
     for size in sizes:
         for trial in range(config.trials):
             start = time.perf_counter()
@@ -142,8 +146,10 @@ def threshold_sweep(field: Field, config: ExperimentConfig,
                 field, config.d, size, config.seed, trial, config.cap)
             found = _distance_indices(E, config.k)
             missing = tuple(sorted(set(range(q)) - found))
+            if sharp is not None and found != {0}:
+                raise CheckFailed(f"sharpness example has distances {sorted(found)}, not [0]")
             xcheck = random.Random(substream_id(config.seed, trial, f"xcheck:{size}"))
-            if xcheck.random() < 0.05:
+            if spectral and xcheck.random() < 0.05:
                 _cross_check_coverage(field, E, config.k, found, config.cap)
             records.append(SweepRecord(
                 q=q, d=config.d, k=config.k, size=len(E), trial=trial,
@@ -345,7 +351,6 @@ def cmd_bounds(args) -> tuple[dict, list[dict], int]:
     E = _sample_or_sharpness(field, args)
     t = field.element(args.t)
     report = bounds(E, t, args.k, cap=args.cap)
-    ok = report.b_m2 == 0 and report.a_sum_abs <= report.a_bound * (1 + 1e-6)
     payload = {
         "command": "bounds",
         "field": _field_meta(field, args.d, args.k),
@@ -364,7 +369,7 @@ def cmd_bounds(args) -> tuple[dict, list[dict], int]:
         _row(field, "b_m2", str(report.b_m2), d=args.d, k=args.k,
              t=args.t, size=len(E), trial=args.trial),
     ]
-    return payload, rows, 0 if ok else 1
+    return payload, rows, 0 if payload["b_m2_zero"] and payload["a_bound_ok"] else 1
 
 
 def cmd_sharpness(args) -> tuple[dict, list[dict], int]:
@@ -389,8 +394,8 @@ def cmd_threshold_sweep(args) -> tuple[dict, list[dict], int]:
     if args.sizes and args.sizes != "auto":
         sizes = tuple(int(x) for x in args.sizes.split(","))
     config = ExperimentConfig(
-        p=field.p, s=field.s, d=args.d, k=args.k, C=Fraction(args.C),
-        seed=args.seed, trials=args.trials, size_grid=sizes, cap=args.cap,
+        d=args.d, k=args.k, C=Fraction(args.C), seed=args.seed,
+        trials=args.trials, size_grid=sizes, cap=args.cap,
     )
     records, summaries = threshold_sweep(field, config, args.use_sharpness)
     payload = {
@@ -400,8 +405,7 @@ def cmd_threshold_sweep(args) -> tuple[dict, list[dict], int]:
             "C": str(config.C), "seed": config.seed, "trials": config.trials,
             "threshold_exponent": config.threshold_exponent,
             "threshold_size": config.threshold_size(field.q),
-            "sizes": list(config.resolve_sizes(field.q)) if not args.use_sharpness
-                     else [field.q ** (args.d - args.k)],
+            "sizes": [summ["size"] for summ in summaries],
             "conjectural": args.d % 2 == 0,
         },
         "records": [r.as_json() for r in records],

@@ -245,7 +245,7 @@ def test_criterion_10_threshold_fixture():
     for q, d, ks, C in [(5, 3, (1, 2, 3), 4), (7, 2, (1, 2), 2)]:
         f = field_for(q)
         for k in ks:
-            cfg = ExperimentConfig(p=q, s=1, d=d, k=k, C=Fraction(C),
+            cfg = ExperimentConfig(d=d, k=k, C=Fraction(C),
                                    seed=42, trials=50)
             _, summaries = threshold_sweep(f, cfg)
             threshold = cfg.threshold_size(q)

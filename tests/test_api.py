@@ -63,7 +63,7 @@ def test_tracer_runs_the_spectral_layers():
         spec = geometry.SphereSpec(2, f.one)
         assert (geometry.sphere_ft(table, m, spec, "closed")
                 == geometry.sphere_ft(table, m, spec, "brute"))
-        fourier.inverse_dft(fourier.dft_indicator(E))
+        fourier.inverse_dft(f, 2, fourier.dft_indicator(E))
         characters.gauss_sum(table, f.one)
         characters.kloosterman(table, f.one, f.elements[2])
     finally:

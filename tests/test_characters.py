@@ -125,6 +125,11 @@ class TestGaussIdentities:
         with pytest.raises(ValueError):
             gauss_identities(t, t.field.zero, t.field.one, Point(t.field, (0, 0)))
 
+    def test_vector_of_another_field_rejected(self):
+        t = table_for(7)
+        with pytest.raises(ValueError, match="does not belong"):
+            gauss_identities(t, t.field.one, t.field.one, Point(make_field(5), (1, 2)))
+
     @pytest.mark.parametrize("q", [3, 5])
     def test_exhaustive_small(self, q):
         t = table_for(q)

@@ -57,7 +57,7 @@ def point_pairs(draw):
     other = draw(st.lists(st.integers(0, f.q - 1), min_size=d, max_size=d))
     x, y = Point(f, idx), Point(f, other)
     return draw(st.sampled_from([(x, Point(f, [f.elements[c] for c in idx])),
-                                 (x, (x + y) - y)]))
+                                 (x, (x - y) - (Point(f, [0] * d) - y))]))
 
 
 @st.composite

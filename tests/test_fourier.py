@@ -45,7 +45,7 @@ class TestDft:
         f = make_field(3)
         E = PointSet(f, 2, [Point(f, (0, 0))])
         table = dft_indicator(E)
-        assert all(v == Fraction(1, 9) for v in table.values.values())
+        assert all(v == Fraction(1, 9) for v in table.values())
 
     def test_full_space(self):
         f = make_field(3)
@@ -67,13 +67,13 @@ class TestDft:
         E = random_subset(f, 2, 5, seed=7)
         t1 = dft_indicator(E)
         t2 = dft(f, 2, {x: 1 for x in E})
-        assert all(t1[m] == t2[m] for m in t1.values)
+        assert t1 == t2
 
     def test_dft_cyclotomic_values(self):
         f = make_field(3)
         x0 = Point(f, (1, 2))
         t = dft(f, 2, {x0: Cyclotomic.root(3, 1)})
-        rt = inverse_dft(t)
+        rt = inverse_dft(f, 2, t)
         assert rt[x0] == Cyclotomic.root(3, 1)
         assert all(v == 0 for x, v in rt.items() if x != x0)
 
@@ -82,19 +82,19 @@ class TestInversionAndPlancherel:
     def test_round_trip_seeded_fixture(self):
         f = make_field(3)
         E = random_subset(f, 2, 5, seed=7)
-        recovered = inverse_dft(dft_indicator(E))
+        recovered = inverse_dft(f, 2, dft_indicator(E))
         for x, v in recovered.items():
             assert v == E.indicator(x)
 
     def test_zero_function(self):
         f = make_field(3)
         t = dft(f, 2, {})
-        assert all(v == 0 for v in inverse_dft(t).values())
+        assert all(v == 0 for v in inverse_dft(f, 2, t).values())
 
     def test_constant_function(self):
         f = make_field(3)
         t = dft(f, 2, {x: 1 for x in enumerate_vectors(f, 2)})
-        assert all(v == 1 for v in inverse_dft(t).values())
+        assert all(v == 1 for v in inverse_dft(f, 2, t).values())
 
     @pytest.mark.parametrize("q,d", [(3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (7, 3), (9, 2)])
     def test_inversion_and_plancherel_random(self, q, d):
@@ -105,7 +105,7 @@ class TestInversionAndPlancherel:
             E = random_subset(f, d, size, seed=1000 * q + 10 * d + trial)
             lhs, rhs = plancherel_check(E)
             assert lhs == rhs == Fraction(len(E), n)
-            recovered = inverse_dft(dft_indicator(E))
+            recovered = inverse_dft(f, d, dft_indicator(E))
             assert all(v == E.indicator(x) for x, v in recovered.items())
 
     def test_plancherel_edge_cases(self):
@@ -133,3 +133,44 @@ class TestInversionAndPlancherel:
         E = random_subset(f, 2, 6, seed=3)
         for v in spectral_energy(E).values():
             assert abs(v.to_complex().imag) <= 1e-9
+
+
+class TestPlainDicts:
+    """dft, dft_indicator and inverse_dft return plain dicts keyed by Point,
+    and inverse_dft(field, d, .) mirrors dft(field, d, .)."""
+
+    def test_transforms_cover_every_frequency_in_order(self):
+        f = make_field(3)
+        E = random_subset(f, 2, 4, seed=5)
+        for table in (dft_indicator(E), dft(f, 2, {x: 1 for x in E})):
+            assert type(table) is dict
+            assert list(table) == enumerate_vectors(f, 2)
+
+    @pytest.mark.parametrize("q,d", [(3, 2), (3, 3), (5, 2), (9, 2)])
+    def test_round_trip_general_values(self, q, d):
+        f = field_for(q)
+        rng = random.Random(100 * q + d)
+        pts = enumerate_vectors(f, d)
+        g = {}
+        for x in rng.sample(pts, 6):
+            g[x] = rng.choice([
+                Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                Cyclotomic(f.p, [rng.randint(-3, 3) for _ in range(f.p)]),
+            ])
+        back = inverse_dft(f, d, dft(f, d, g))
+        assert list(back) == pts
+        assert all(back[x] == g.get(x, 0) for x in pts)
+
+    def test_absent_frequencies_are_zero(self):
+        f = make_field(5)
+        c = Cyclotomic.root(5, 2)
+        assert all(v == c for v in inverse_dft(f, 2, {Point(f, (0, 0)): c}).values())
+
+    def test_keys_outside_the_space_rejected(self):
+        f = make_field(3)
+        with pytest.raises(ValueError):
+            dft(f, 2, {Point(f, (1, 2, 0)): 1})
+        with pytest.raises(ValueError):
+            dft(f, 2, {Point(make_field(5), (1, 2)): 1})
+        with pytest.raises(ValueError):
+            inverse_dft(f, 2, {Point(f, (1,)): Cyclotomic.root(3, 1)})

@@ -122,6 +122,19 @@ class TestStratumSums:
                     assert lemma31_sum(table, d, alpha, s, m) == \
                         stratum_sum_brute(table, d, alpha, s, m)
 
+    def test_foreign_inputs_rejected(self):
+        # the brute loops read raw indices, so s and m are checked first
+        f, table = setup_q(7)
+        m = Point(f, (1, 2))
+        with pytest.raises(ValueError, match="different fields"):
+            stratum_sum_brute(table, 2, 0, make_field(3, 2).element(5), m)
+        other = Point(make_field(5), (1, 2))
+        for bad in (Point(f, (1, 2, 0)), other):
+            with pytest.raises(ValueError, match="does not belong"):
+                stratum_sum_brute(table, 2, 0, f.one, bad)
+        with pytest.raises(ValueError, match="does not belong"):
+            sphere_ft(table, other, SphereSpec(1, f.one), "brute")
+
     def test_seeded_larger_field(self):
         f, table = setup_q(9)
         rng = random.Random(99)

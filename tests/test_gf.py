@@ -3,12 +3,14 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffdist.cyclotomic import Cyclotomic
 from ffdist.gf import (Field, FieldElement, Point, _poly_mul, _poly_powmod,
                        _poly_rem, _poly_trim, enumerate_vectors,
-                       factor_prime_power, make_field, point_from_index,
-                       space_size)
+                       factor_prime_power, index_vectors, make_field,
+                       point_from_index, space_size, within_cap)
 
 ODD_PRIME_POWERS_49 = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49]
 ODD_PRIME_POWERS_125 = ODD_PRIME_POWERS_49 + [
@@ -316,3 +318,48 @@ class TestVectors:
                  for signs in itertools.product((1, -1), repeat=3)}
         assert {x.idx for x in enumerate_vectors(f, 3)
                 if x.square_class() == (0, 1, 4)} == orbit
+
+    def test_within_cap(self):
+        assert within_cap(3, 2, 9) and not within_cap(3, 2, 8)
+        assert not within_cap(3, 3_000_000, 10**6)  # decided before 3**d
+        assert list(index_vectors(make_field(3), 2)) == [
+            x.idx for x in enumerate_vectors(make_field(3), 2)]
+        with pytest.raises(ValueError, match="exceeds enumeration cap"):
+            index_vectors(make_field(3), 3, cap=26)
+
+
+@st.composite
+def index_pairs(draw):
+    q = draw(st.sampled_from([3, 5, 9, 25, 27]))
+    d = draw(st.integers(1, 4))
+    coords = st.lists(st.integers(0, q - 1), min_size=d, max_size=d)
+    return field_for(q), draw(coords), draw(coords)
+
+
+class TestFieldDot:
+    @settings(max_examples=300, deadline=None)
+    @given(index_pairs())
+    def test_dot_is_the_element_sum(self, case):
+        f, a, b = case
+        want = f.zero
+        for x, y in zip(a, b):
+            want = want + f.elements[x] * f.elements[y]
+        assert f.dot(a, b) == want.index
+        assert f.dot(tuple(a), tuple(b)) == f.dot(b, a)
+        assert Point(f, a).dot(Point(f, b)) == want
+        square = f.zero
+        for x in a:
+            square = square + f.elements[x] * f.elements[x]
+        assert Point(f, a).norm() == square
+
+    @settings(max_examples=100, deadline=None)
+    @given(index_pairs())
+    def test_point_dot_still_checks_the_space(self, case):
+        f, a, b = case
+        with pytest.raises(ValueError):
+            Point(f, a).dot(Point(f, b + [0]))
+        other = make_field(7)
+        with pytest.raises(ValueError):
+            Point(f, a).dot(Point(other, [c % 7 for c in b]))
+        with pytest.raises(TypeError):
+            Point(f, a).dot(tuple(b))

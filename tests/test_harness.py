@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ffdist import gf, harness
+from ffdist import distance, gf, harness
 from ffdist.gf import make_field
 from ffdist.harness import (ExperimentConfig, build_parser, main, sample_set,
                             substream_id, threshold_sweep)
@@ -43,37 +47,37 @@ class TestSampling:
 
 class TestConfig:
     def test_threshold_exponent(self):
-        assert ExperimentConfig(p=5, s=1, d=3, k=1).threshold_exponent == 2
-        assert ExperimentConfig(p=7, s=1, d=2, k=1).threshold_exponent == 1.5
-        assert ExperimentConfig(p=7, s=1, d=2, k=2).threshold_exponent == 1.5
-        assert ExperimentConfig(p=3, s=1, d=5, k=1).threshold_exponent == 4
+        assert ExperimentConfig(d=3, k=1).threshold_exponent == 2
+        assert ExperimentConfig(d=2, k=1).threshold_exponent == 1.5
+        assert ExperimentConfig(d=2, k=2).threshold_exponent == 1.5
+        assert ExperimentConfig(d=5, k=1).threshold_exponent == 4
 
     def test_threshold_size(self):
-        cfg = ExperimentConfig(p=7, s=1, d=2, k=1, C=Fraction(2))
+        cfg = ExperimentConfig(d=2, k=1, C=Fraction(2))
         assert cfg.threshold_size(7) == 38
 
     def test_auto_grid(self):
-        cfg = ExperimentConfig(p=5, s=1, d=3, k=1, C=Fraction(4))
+        cfg = ExperimentConfig(d=3, k=1, C=Fraction(4))
         assert cfg.resolve_sizes(5) == (25, 50, 100, 125)
 
     def test_explicit_grid_validated(self):
-        cfg = ExperimentConfig(p=3, s=1, d=2, k=1, size_grid=(3, 9, 3))
+        cfg = ExperimentConfig(d=2, k=1, size_grid=(3, 9, 3))
         assert cfg.resolve_sizes(3) == (3, 9)
-        bad = ExperimentConfig(p=3, s=1, d=2, k=1, size_grid=(10,))
+        bad = ExperimentConfig(d=2, k=1, size_grid=(10,))
         with pytest.raises(ValueError):
             bad.resolve_sizes(3)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(p=3, s=1, d=2, k=3)
+            ExperimentConfig(d=2, k=3)
         with pytest.raises(ValueError):
-            ExperimentConfig(p=3, s=1, d=2, k=1, trials=0)
+            ExperimentConfig(d=2, k=1, trials=0)
 
 
 class TestSweep:
     def test_forced_sharpness_misses_everything(self):
         f = make_field(3)
-        cfg = ExperimentConfig(p=3, s=1, d=3, k=1, seed=0, trials=2)
+        cfg = ExperimentConfig(d=3, k=1, seed=0, trials=2)
         records, summaries = threshold_sweep(f, cfg, force_sharpness=True)
         assert all(r.size == 9 for r in records)
         assert all(not r.full_coverage for r in records)
@@ -83,13 +87,13 @@ class TestSweep:
 
     def test_runtime_not_serialized(self):
         f = make_field(3)
-        cfg = ExperimentConfig(p=3, s=1, d=2, k=1, trials=1)
+        cfg = ExperimentConfig(d=2, k=1, trials=1)
         records, _ = threshold_sweep(f, cfg)
         assert "runtime_ms" not in records[0].as_json()
 
     def test_records_deterministic(self):
         f = make_field(5)
-        cfg = ExperimentConfig(p=5, s=1, d=2, k=2, seed=11, trials=3)
+        cfg = ExperimentConfig(d=2, k=2, seed=11, trials=3)
         a = [r.as_json() for r in threshold_sweep(f, cfg)[0]]
         b = [r.as_json() for r in threshold_sweep(f, cfg)[0]]
         assert a == b
@@ -160,6 +164,37 @@ class TestCli:
         payload = json.loads(out)
         assert all(r["missing_radii"] == [1, 2] for r in payload["records"])
         assert payload["summary"][0]["coverage_fraction"] == 0.0
+
+    @pytest.mark.parametrize("argv,sizes", [
+        (["--sizes", "4,2,4", "--trials", "2"], [2, 4]),
+        (["--use-sharpness"], [3]),
+    ])
+    def test_threshold_sweep_reports_the_swept_sizes(self, argv, sizes, capsys):
+        code, out = run_cli(["threshold-sweep", "--q", "3", "--d", "2", "--k", "1"] + argv,
+                            capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["sizes"] == sizes
+        assert [summ["size"] for summ in payload["summary"]] == sizes
+
+    @pytest.mark.parametrize("argv,code", [
+        (["sharpness", "--q", "3", "--d", "2", "--k", "1"], 0),
+        (["verify-identities", "--q", "12"], 2),
+    ])
+    def test_python_m_ffdist(self, argv, code, capsys):
+        # python -m ffdist runs main once, without the double-import warning
+        # that python -m ffdist.harness prints
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "ffdist", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code
+        if code == 0:
+            assert proc.stderr == ""
+            assert proc.stdout == run_cli(argv, capsys)[1]
+        else:
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     def test_p_s_field_selection(self, capsys):
         code, out = run_cli(["verify-identities", "--p", "3", "--s", "2"], capsys)
@@ -344,6 +379,37 @@ class TestCrossCheck:
         assert code == 1
         assert captured.out == ""
         assert captured.err == "error: spectral/direct coverage mismatch at t=0: nu=0\n"
+
+
+class TestSharpnessChecks:
+    """Every sharpness trial checks D_k(E) = {0}; the 5% spectral draw is made
+    only where q^d <= cap, so past the cap the exit code does not depend on
+    the trial count."""
+
+    PAST_CAP = ["threshold-sweep", "--q", "5", "--d", "10", "--k", "9",
+                "--use-sharpness"]
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 4])
+    def test_past_the_cap_any_trial_count(self, trials, monkeypatch, capsys):
+        drawn = []
+        monkeypatch.setattr(harness, "_cross_check_coverage",
+                            lambda *args: drawn.append(args))
+        code, out = run_cli(self.PAST_CAP + ["--trials", str(trials)], capsys)
+        assert code == 0
+        assert len(json.loads(out)["records"]) == trials
+        assert drawn == []
+
+    @pytest.mark.parametrize("argv", [
+        PAST_CAP + ["--trials", "3"],
+        ["threshold-sweep", "--q", "3", "--d", "2", "--k", "1", "--use-sharpness"],
+    ])
+    def test_wrong_distance_set_exits_1(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(distance, "_distance_indices", lambda E, k: {0, 1})
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: sharpness example has distances [0, 1], not [0]\n"
 
 
 class TestDeterminism:

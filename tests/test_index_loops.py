@@ -1,0 +1,83 @@
+"""The enumeration loops run on index tuples, not on Point.
+
+Every call below sums over q^d points or over a cached sphere or stratum.
+Point.dot, Point.norm and point_from_index are wrapped with a counter, and
+each call may make at most one such call in total (gauss_identities takes
+the norm of its vector v once for the closed form), however many terms it
+sums.  The sphere and stratum caches are built once per set, not per term,
+so they are warmed before counting.
+"""
+
+import pytest
+
+from ffdist import characters, distance, fourier, geometry, gf, harness
+from ffdist.cyclotomic import Cyclotomic
+from ffdist.gf import Point, factor_prime_power, make_field
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    seen = []
+
+    def wrap(name, real):
+        def counter(*args, **kwargs):
+            seen.append(name)
+            return real(*args, **kwargs)
+        return counter
+
+    for name in ("dot", "norm"):
+        monkeypatch.setattr(Point, name, wrap(name, getattr(Point, name)))
+    counter = wrap("point_from_index", gf.point_from_index)
+    for module in (gf, fourier, geometry, characters, distance, harness):
+        if hasattr(module, "point_from_index"):
+            monkeypatch.setattr(module, "point_from_index", counter)
+    return seen
+
+
+@pytest.mark.parametrize("q,d", [(3, 3), (5, 2)])
+def test_at_most_one_point_call_per_sum(q, d, counted):
+    f = make_field(*factor_prime_power(q))
+    table = characters.CharacterTable(f)
+    pts = gf.enumerate_vectors(f, d)
+    E = fourier.PointSet(f, d, pts[1::3])
+    g = {x: Cyclotomic.root(f.p, 1) for x in pts[::4]}
+    ms = pts[::5]
+    specs = [geometry.SphereSpec(k, t) for k in range(1, d + 1) for t in f.elements]
+    s = f.elements[2]
+    # warm the per-set caches: sphere_points and stratum
+    for spec in specs:
+        geometry.sphere_ft(table, ms[0], spec, "brute")
+    for alpha in range(d + 1):
+        geometry.stratum_sum_brute(table, d, alpha, s, ms[0])
+    fhat = fourier.dft(f, d, g)
+    counted.clear()
+
+    calls = [
+        lambda: fourier.spectral_energy(E),
+        lambda: fourier.dft_indicator(E),
+        lambda: fourier.dft(f, d, g),
+        lambda: fourier.inverse_dft(f, d, fhat),
+        *(lambda m=m, spec=spec: geometry.sphere_ft(table, m, spec, "brute")
+          for m in ms for spec in specs),
+        *(lambda m=m, alpha=alpha: geometry.stratum_sum_brute(table, d, alpha, s, m)
+          for m in ms for alpha in range(d + 1)),
+        *(lambda a=a, b=b: characters.gauss_identities(
+            table, a, b, Point(f, [b.index] + [a.index] * (d - 1)))
+          for a in f.elements[1:3] for b in f.elements[:3]),
+    ]
+    for call in calls:
+        counted.clear()
+        call()
+        assert len(counted) <= 1, counted[:5]
+
+
+def test_guard_sees_per_term_calls(counted):
+    # the counter does see a loop that goes through Point
+    f = make_field(3)
+    pts = gf.enumerate_vectors(f, 2)
+    counted.clear()
+    for x in pts:
+        x.dot(pts[1])
+        x.norm()
+    gf.point_from_index(f, 2, 4)
+    assert len(counted) == 2 * len(pts) + 1
