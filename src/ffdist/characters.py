@@ -29,6 +29,10 @@ class CharacterTable:
     Also hosts the memo dictionaries for the sphere-transform closed form
     (keyed by square-multiset classes); those live here because their
     lifetime matches the field's, not any individual computation's.
+    spectral_cache holds the spectral summary of distance.nu_spectral and
+    distance.bounds: one slot per (d, k), holding the summary of the last
+    energy mapping seen there together with that mapping's exact contents,
+    so it never holds more than one summary per (d, k).
     """
 
     def __init__(self, field: Field) -> None:
@@ -39,6 +43,8 @@ class CharacterTable:
         # caches used by the geometry module
         self.sphere_cache: dict = {}
         self.a_inner_cache: dict = {}
+        # used by the distance module
+        self.spectral_cache: dict = {}
 
     def chi(self, a: FieldElement) -> Cyclotomic:
         """chi_1(a) = zeta_p^{Tr(a)}."""

@@ -23,6 +23,18 @@ per-frequency sum, equal as an exact value, for any mapping whose sums per
 class equal those of |Ehat|^2; a per-frequency dict gives the same values,
 only more slowly.
 
+Neither sum is redone for each t either.  The A-part factors as
+A(m, t) = sum_{s != 0} inner_k(m, s) zeta^{Tr(-s t)}, so
+sum_m e_m A(m, t) = sum_s W_k(s) zeta^{Tr(-s t)} with
+W_k(s) = sum_m e_m inner_k(m, s): a 1-D character transform over F_q of a
+weight that does not depend on t, and for t != 0
+nu_E(t) = q^{d-1} (A(t) + B_k).  W_k, B_k and the b_main/b_aux/m1/m2/m3
+sums are formed once per (energy, d, k), one _a_inner, b_term and
+_m_weights per key, and kept in the table's spectral_cache (one slot per
+(d, k), matched against the mapping's exact contents).  t = 0 sums the
+brute sphere transform over the keys; a_term and the closed sphere_ft stay
+as oracles for the tests and the sphere-ft command.
+
 The direct count and the distance set read the same index loop over
 E x E, which works on element indices and builds no objects per pair.
 """
@@ -40,7 +52,7 @@ from .characters import CharacterTable, character_table
 from .cyclotomic import Cyclotomic
 from .fourier import PointSet, spectral_energy
 from .gf import DEFAULT_CAP, Field, FieldElement, Point, enumerate_vectors
-from .geometry import (SphereSpec, a_term, b_term, b_term_alpha_range,
+from .geometry import (SphereSpec, _a_inner, b_term, b_term_alpha_range,
                        sphere_ft)
 
 
@@ -104,20 +116,36 @@ def nu_spectral(E: PointSet, t: FieldElement, k: int,
     """nu_E(t) via q^{2d} sum_m Shat_k^t(m) |Ehat(m)|^2 (exact rational).
 
     energy defaults to spectral_energy(E, cap), |Ehat|^2 summed per square
-    class; the sum runs over its keys, one sphere_ft per key.
+    class.  For t != 0 the sum is q^{d-1} (A(t) + B_k), read from the
+    spectral summary of (energy, d, k); t = 0 sums the brute sphere_ft over
+    the keys, one call per key.
     """
-    f = E.field
+    table = _checked_table(E, t, table)
     d = E.d
-    if table is None:
-        table = character_table(f)
+    spec = SphereSpec(k, t)
+    spec.validate(d)
     if energy is None:
         energy = spectral_energy(E, cap)
-    spec = SphereSpec(k, t)
-    mode = "brute" if t.is_zero else "closed"
-    total = Cyclotomic.zero(f.p)
-    for m, e in energy.items():
-        total = total + sphere_ft(table, m, spec, mode, cap) * e
-    return (total * (f.q ** (2 * d))).rational_value()
+    q = E.field.q
+    if t.is_zero:
+        total = Cyclotomic.zero(E.field.p)
+        for m, e in energy.items():
+            total = total + sphere_ft(table, m, spec, "brute", cap) * e
+        return (total * q ** (2 * d)).rational_value()
+    summary = _spectral_summary(table, d, k, energy)
+    return ((summary.a_part(t) + summary.b_sum) * q ** (d - 1)).rational_value()
+
+
+def _checked_table(E: PointSet, t: FieldElement,
+                   table: Optional[CharacterTable]) -> CharacterTable:
+    """The table to use for (E, t), after t and table are checked to belong
+    to E's field: the spectral memo is keyed by class, not by field."""
+    f = E.field
+    if table is None:
+        table = character_table(f)
+    if t.field is not f or table.field is not f:
+        raise ValueError("elements belong to different fields")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -195,37 +223,99 @@ def _m_weights(q: int, m: Point) -> tuple[int, int, int]:
     return c1, c2, c3
 
 
+class _SpectralSummary:
+    """The t-independent parts of nu_spectral and bounds for one
+    (energy, d, k).
+
+    W_k(s) = sum_C e_C inner_k(C, s) for s in F_q* (inner_k is the cached
+    _a_inner), kept as int rows over one common denominator; B_k and the
+    b_main/b_aux/m1/m2/m3 sums, as rationals.  Each key of the energy gets
+    one _a_inner, b_term and _m_weights.  The A-part
+    A(t) = sum_C e_C A(C, t) = sum_s W_k(s) zeta^{Tr(-s t)} is a 1-D
+    character transform over F_q, formed once per t on first use.
+    """
+
+    def __init__(self, table: CharacterTable, d: int, k: int, contents: tuple) -> None:
+        f = table.field
+        p, q = f.p, f.q
+        self.field = f
+        self.contents = contents
+        # adding zero checks the prime and makes every value a Cyclotomic
+        energies = [Cyclotomic.zero(p) + e for _, e in contents]
+        inners = [_a_inner(table, m, k) for m, _ in contents]
+        # every sum runs on int coefficients over one common denominator
+        e_den = math.lcm(*(e.den for e in energies))
+        w_den = math.lcm(*(v.den for inner in inners for v in inner))
+        self.den = e_den * w_den
+        self.rows = [[0] * p for _ in range(q - 1)]
+        sums = [[0] * p for _ in range(6)]  # b_sum, b_main, b_aux, m1, m2, m3
+        for (m, _), e, inner in zip(contents, energies, inners):
+            num = [(i, c * (e_den // e.den)) for i, c in enumerate(e.num) if c]
+            weights = (b_term(f, m, k), b_term_alpha_range(f, m, 0, d),
+                       -b_term_alpha_range(f, m, k, d), *_m_weights(q, m))
+            for acc, w in zip(sums, weights):
+                for i, c in num:
+                    acc[i] += w * c
+            for row, v in zip(self.rows, inner):
+                scale = w_den // v.den
+                for j, b in enumerate(v.num):
+                    if b:
+                        b *= scale
+                        for i, c in num:
+                            row[(i + j) % p] += b * c
+        scale = Fraction(1, e_den)
+        (self.b_sum, self.b_main, self.b_aux, self.m1, self.m2, self.m3) = (
+            (Cyclotomic(p, acc) * scale).rational_value() for acc in sums)
+        self._a: dict[int, Cyclotomic] = {}
+
+    def a_part(self, t: FieldElement) -> Cyclotomic:
+        """A(t) for t != 0: each row W_k(s) rotated by Tr(-s t), summed on
+        ints and divided once."""
+        a = self._a.get(t.index)
+        if a is None:
+            f = self.field
+            p = f.p
+            acc = [0] * p
+            row, trace, neg = f._mul[t.index], f._trace, f._neg
+            for si, w in enumerate(self.rows, 1):
+                j = trace[neg[row[si]]]
+                for i, c in enumerate(w):
+                    if c:
+                        acc[(i + j) % p] += c
+            a = self._a[t.index] = Cyclotomic(p, acc) * Fraction(1, self.den)
+        return a
+
+
+def _spectral_summary(table: CharacterTable, d: int, k: int,
+                      energy: dict[Point, Cyclotomic]) -> _SpectralSummary:
+    """The summary of energy at (d, k), from table.spectral_cache when its
+    one slot for (d, k) was built from equal contents, else built anew."""
+    contents = tuple(energy.items())
+    summary = table.spectral_cache.get((d, k))
+    if summary is None or summary.contents != contents:
+        summary = _SpectralSummary(table, d, k, contents)
+        table.spectral_cache[(d, k)] = summary
+    return summary
+
+
 def bounds(E: PointSet, t: FieldElement, k: int,
            table: Optional[CharacterTable] = None,
            energy: Optional[dict[Point, Cyclotomic]] = None,
            cap: int = DEFAULT_CAP) -> BoundReport:
     """Evaluate the A-part bound and the full B-decomposition for (E, t, k).
 
-    energy is read as in nu_spectral: one a_term, B value and weight triple
-    per key of spectral_energy's per-class sums.
+    energy is read as in nu_spectral: A(t), the B sums and the m1/m2/m3
+    weights all come from the spectral summary of (energy, d, k).
     """
+    table = _checked_table(E, t, table)
     if t.is_zero:
         raise ValueError("bounds are defined for t != 0")
-    f = E.field
     d = E.d
-    q = f.q
-    if table is None:
-        table = character_table(f)
+    q = E.field.q
+    SphereSpec(k, t).validate(d)
     if energy is None:
         energy = spectral_energy(E, cap)
-
-    zero = Cyclotomic.zero(f.p)
-    a_total = b_sum = b_main = b_aux = m1 = m2 = m3 = zero
-    for m, e in energy.items():
-        a_total = a_total + e * a_term(table, m, t, k)
-        b_sum = b_sum + e * b_term(f, m, k)
-        b_main = b_main + e * b_term_alpha_range(f, m, 0, d)
-        b_aux = b_aux - e * b_term_alpha_range(f, m, k, d)
-        c1, c2, c3 = _m_weights(q, m)
-        m1 = m1 + e * c1
-        m2 = m2 + e * c2
-        m3 = m3 + e * c3
-    a_sum_abs = abs(a_total.to_complex())
+    summary = _spectral_summary(table, d, k, energy)
     a_bound = 2 * 3**d * q ** (-(d - 1) / 2) * len(E)
 
     refs = {
@@ -236,13 +326,13 @@ def bounds(E: PointSet, t: FieldElement, k: int,
     }
     return BoundReport(
         t=t, k=k, size=len(E),
-        a_sum_abs=a_sum_abs, a_bound=a_bound,
-        b_sum=b_sum.rational_value(),
-        b_main=b_main.rational_value(),
-        b_aux=b_aux.rational_value(),
-        b_m1=m1.rational_value(),
-        b_m2=m2.rational_value(),
-        b_m3=m3.rational_value(),
+        a_sum_abs=abs(summary.a_part(t).to_complex()), a_bound=a_bound,
+        b_sum=summary.b_sum,
+        b_main=summary.b_main,
+        b_aux=summary.b_aux,
+        b_m1=summary.m1,
+        b_m2=summary.m2,
+        b_m3=summary.m3,
         refs=refs,
     )
 

@@ -16,9 +16,8 @@ Field.dot, so no Point or FieldElement is built per (x, m) term.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .cyclotomic import Cyclotomic
 from .gf import DEFAULT_CAP, Field, Point, enumerate_vectors, point_indices
@@ -84,18 +83,26 @@ def dft(field: Field, d: int, f: Mapping[Point, Value],
     return values
 
 
-def dft_indicator(E: PointSet, cap: int = DEFAULT_CAP) -> dict[Point, Cyclotomic]:
-    """Ehat(m) = q^{-d} sum over x in E of chi(-x.m)."""
+def _indicator_counts(E: PointSet, cap: int) -> Iterator[tuple[Point, list[int]]]:
+    """(m, c) for every m in lexicographic order, c[j] the number of x in E
+    with Tr(-x.m) = j, so that q^d Ehat(m) = sum_j c[j] zeta^j."""
     field = E.field
-    domain = enumerate_vectors(field, E.d, cap)
-    scale = Fraction(1, field.q**E.d)
+    p = field.p
     dot, trace, neg = field.dot, field._trace, field._neg
     pts = [x.idx for x in E]
-    values: dict[Point, Cyclotomic] = {}
-    for m in domain:
-        counts = Counter(trace[neg[dot(x, m.idx)]] for x in pts)
-        values[m] = Cyclotomic.from_counts(field.p, counts) * scale
-    return values
+    for m in enumerate_vectors(field, E.d, cap):
+        mi = m.idx
+        c = [0] * p
+        for x in pts:
+            c[trace[neg[dot(x, mi)]]] += 1
+        yield m, c
+
+
+def dft_indicator(E: PointSet, cap: int = DEFAULT_CAP) -> dict[Point, Cyclotomic]:
+    """Ehat(m) = q^{-d} sum over x in E of chi(-x.m)."""
+    p = E.field.p
+    scale = Fraction(1, E.field.q**E.d)
+    return {m: Cyclotomic(p, c) * scale for m, c in _indicator_counts(E, cap)}
 
 
 def inverse_dft(field: Field, d: int, fhat: Mapping[Point, Cyclotomic],
@@ -135,13 +142,32 @@ def spectral_energy(E: PointSet, cap: int = DEFAULT_CAP) -> dict[Point, Cyclotom
     zero only when every term is).  The sphere transforms that nu_spectral
     and bounds multiply are constant on a class, so they need only these
     sums, which depend on neither t nor k and are formed once per E here.
+
+    The unscaled count vector of each frequency (q^d Ehat(m) on integer
+    coefficients) is squared and summed per class on ints, so no value is
+    built per frequency; each class sum is then scaled once by q^{-2d}.
     """
-    classes: dict[tuple[int, ...], tuple[Point, Cyclotomic]] = {}
-    for m, v in dft_indicator(E, cap).items():  # lexicographic order
+    p = E.field.p
+    classes: dict[tuple[int, ...], tuple[Point, list[int]]] = {}
+    for m, c in _indicator_counts(E, cap):  # lexicographic order
         key = m.square_class()
-        rep, acc = classes.get(key, (m, 0))
-        classes[key] = (rep, v * v.conjugate() + acc)
-    return {m: e for m, e in classes.values() if e}
+        entry = classes.get(key)
+        if entry is None:
+            entry = classes[key] = (m, [0] * p)
+        acc = entry[1]
+        # |sum_j c_j zeta^j|^2 = sum_{i, j} c_i c_j zeta^{i-j}; a negative
+        # index i - j wraps mod p
+        nonzero = [(i, ci) for i, ci in enumerate(c) if ci]
+        for i, ci in nonzero:
+            for j, cj in nonzero:
+                acc[i - j] += ci * cj
+    scale = Fraction(1, E.field.q ** (2 * E.d))
+    energy = {}
+    for m, acc in classes.values():
+        e = Cyclotomic(p, acc)
+        if e:
+            energy[m] = e * scale
+    return energy
 
 
 def plancherel_check(E: PointSet, cap: int = DEFAULT_CAP) -> tuple[Fraction, Fraction]:

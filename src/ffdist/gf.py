@@ -510,5 +510,16 @@ def index_vectors(field: Field, d: int, cap: int = DEFAULT_CAP) -> Iterable[tupl
 
 
 def enumerate_vectors(field: Field, d: int, cap: int = DEFAULT_CAP) -> list[Point]:
-    """All q^d points in lexicographic order."""
-    return [Point(field, idx) for idx in index_vectors(field, d, cap)]
+    """All q^d points in lexicographic order.
+
+    index_vectors yields only in-range index tuples, so the points are built
+    without the per-coordinate check of Point.__init__.
+    """
+    new = Point.__new__
+    out = []
+    for idx in index_vectors(field, d, cap):
+        pt = new(Point)
+        pt.field = field
+        pt.idx = idx
+        out.append(pt)
+    return out

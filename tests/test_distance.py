@@ -7,9 +7,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ffdist.characters import character_table
+from ffdist.characters import CharacterTable, character_table
 from ffdist.cyclotomic import Cyclotomic
-from ffdist import distance
+from ffdist import distance, geometry
 from ffdist.distance import (BoundReport, _distance_indices,
                              alternating_binomial_sum, bounds, distance_set,
                              nu_direct_all, nu_spectral, sharpness_example)
@@ -371,35 +371,141 @@ class TestSpectralEnergy:
 
 
 class TestWorkCounts:
-    """One transform per square class per call: the grouping is done once,
-    in spectral_energy, and nu_spectral and bounds do not redo it."""
+    """Per (E, k), each key of the per-class energy gets one _a_inner,
+    b_term and _m_weights, for the spectral summary that every t != 0
+    shares; t != 0 costs no a_term and no closed sphere_ft, and t = 0 one
+    brute sphere_ft per key."""
 
     def test_one_call_per_key(self, monkeypatch):
         f = make_field(5)
         table = character_table(f)
         calls = Counter()
 
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            monkeypatch.setattr(distance, name, wrapped)
+        def counting(module, name):
+            fn = getattr(module, name)
 
-        counting("sphere_ft", distance.sphere_ft)
-        counting("a_term", distance.a_term)
+            def wrapped(*args, **kwargs):
+                key = (name, args[3]) if name == "sphere_ft" else name
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapped)
+
+        for name in ("sphere_ft", "_a_inner", "b_term", "_m_weights"):
+            counting(distance, name)
+        counting(geometry, "a_term")
         for size in (1, 3, 5, 25, 125):
             E = random_subset(f, 3, size, seed=size)
             energy = spectral_energy(E)
-            assert len(energy) <= 10  # the square classes of F_5^3
+            n = len(energy)
+            assert n <= 10  # the square classes of F_5^3
             for k in range(1, 4):
-                for t in f.elements:
-                    calls.clear()
+                calls.clear()
+                for t in f.elements[1:]:
                     nu_spectral(E, t, k, table, energy)
-                    assert calls == {"sphere_ft": len(energy)}
-                    if not t.is_zero:
-                        calls.clear()
-                        bounds(E, t, k, table, energy)
-                        assert calls == {"a_term": len(energy)}
+                    bounds(E, t, k, table, energy)
+                assert calls == {"_a_inner": n, "b_term": n, "_m_weights": n}
+                calls.clear()
+                nu_spectral(E, f.zero, k, table, energy)
+                assert calls == {("sphere_ft", "brute"): n}
+
+
+def _memo_results(E, k, table, energy):
+    # every nu_spectral value and bound report of (E, k) through one table
+    f = E.field
+    return ([nu_spectral(E, t, k, table, energy) for t in f.elements],
+            [bounds(E, t, k, table, energy) for t in f.elements[1:]])
+
+
+class TestSpectralSummary:
+    """The summary memo on CharacterTable: one slot per (d, k), keyed by the
+    exact contents of the energy mapping."""
+
+    def test_memo_follows_contents(self):
+        f = make_field(5)
+        d = 3
+        table = CharacterTable(f)
+        sets = {name: random_subset(f, d, size, seed=seed)
+                for name, size, seed in (("A", 4, 1), ("B", 9, 2), ("C", 6, 3))}
+        energy = {name: spectral_energy(E) for name, E in sets.items()}
+        a = energy["A"]
+        E_of = {"A": sets["A"], "B": sets["B"]}
+
+        def double():  # the same keys, every value changed
+            for m in a:
+                a[m] = a[m] * 2
+
+        def become_c():  # other keys and values, the same mapping object
+            a.clear()
+            a.update(energy["C"])
+            E_of["A"] = sets["C"]
+
+        # k interleaved; the (3, 1) and (3, 2) slots are each reused for a
+        # different mapping, and for A after it is mutated in place
+        steps = [("A", 1), ("B", 2), ("B", 1), ("A", 2), double, ("A", 2),
+                 ("A", 1), ("B", 1), become_c, ("A", 1), ("A", 3)]
+        for step in steps:
+            if callable(step):
+                step()
+                continue
+            name, k = step
+            E, e = E_of[name], energy[name]
+            got = _memo_results(E, k, table, e)
+            assert got == _memo_results(E, k, CharacterTable(f), e)
+            nus, reports = got
+            assert nus == [_reference_nu_spectral(E, t, k, table, e) for t in f.elements]
+            assert reports == [_reference_bounds(E, t, k, table, e) for t in f.elements[1:]]
+        assert set(table.spectral_cache) == {(3, 1), (3, 2), (3, 3)}
+
+    @pytest.mark.parametrize("q,d", [(3, 2), (5, 3), (9, 2), (25, 2)])
+    def test_a_part_is_the_a_term_sum(self, q, d):
+        # A(t) from the 1-D transform of W_k equals sum_C e_C A(C, t)
+        f = field_for(q)
+        table = character_table(f)
+        E = random_subset(f, d, 7, seed=q)
+        energy = spectral_energy(E)
+        for k in range(1, d + 1):
+            summary = distance._spectral_summary(table, d, k, energy)
+            for t in f.elements[1:]:
+                want = Cyclotomic.zero(f.p)
+                for m, e in energy.items():
+                    want = want + e * a_term(table, m, t, k)
+                assert summary.a_part(t) == want
+
+
+class TestFieldChecks:
+    """t and the table must belong to E's field: the summary memo is keyed
+    by square class, which does not name the field."""
+
+    def test_t_from_another_field(self):
+        f5, f7 = make_field(5), make_field(7)
+        E = random_subset(f5, 2, 4, seed=3)
+        for t in (f7.zero, f7.element(3), f7.element(6)):
+            with pytest.raises(ValueError, match="^elements belong to different fields$"):
+                nu_spectral(E, t, 1)
+            with pytest.raises(ValueError, match="^elements belong to different fields$"):
+                bounds(E, t, 1)
+
+    def test_table_from_another_field(self):
+        f5, f25 = make_field(5), field_for(25)
+        table25 = character_table(f25)
+        # warm every memo of the GF(25) table at (d, k) = (2, 1) first
+        E25 = random_subset(f25, 2, 5, seed=7)
+        energy25 = spectral_energy(E25)
+        for t in f25.elements[:3]:
+            nu_spectral(E25, t, 1, table25, energy25)
+        bounds(E25, f25.element(1), 1, table25, energy25)
+        E5 = random_subset(f5, 2, 5, seed=7)
+        for t in (f5.zero, f5.element(1), f5.element(4)):
+            with pytest.raises(ValueError, match="^elements belong to different fields$"):
+                nu_spectral(E5, t, 1, table25)
+            with pytest.raises(ValueError, match="^elements belong to different fields$"):
+                nu_spectral(E5, t, 1, table25, spectral_energy(E5))
+            if not t.is_zero:
+                with pytest.raises(ValueError, match="^elements belong to different fields$"):
+                    bounds(E5, t, 1, table25, spectral_energy(E5))
+        # a GF(25) element is not a GF(5) radius either
+        with pytest.raises(ValueError, match="^elements belong to different fields$"):
+            nu_spectral(E5, f25.element(1), 1)
 
 
 class TestSharpness:

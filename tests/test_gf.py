@@ -290,6 +290,18 @@ class TestVectors:
         assert [x.idx for x in pts] == sorted(x.idx for x in pts)
         assert all(point_from_index(f, 2, i) == x for i, x in enumerate(pts))
 
+    def test_enumeration_matches_checked_points(self):
+        # the unchecked construction gives the same points, in the same
+        # order, as the checked constructor; Point(...) still checks
+        for f, d in ((make_field(3), 3), (make_field(3, 2), 2), (make_field(7), 2)):
+            pts = enumerate_vectors(f, d)
+            assert pts == [Point(f, idx) for idx in index_vectors(f, d)]
+            assert all(type(x) is Point and x.field is f for x in pts)
+        f = make_field(5)
+        for bad in ((5, 0), (0, -1), ()):
+            with pytest.raises(ValueError):
+                Point(f, bad)
+
     def test_enumeration_cardinality_gf9(self):
         assert len(enumerate_vectors(make_field(3, 2), 3)) == 729
 
