@@ -2,7 +2,7 @@
 
 nu_E(t) counts ordered pairs at k-distance t.  It is computed two ways:
 directly over E x E, and spectrally as q^{2d} sum_m Shat(m) |Ehat(m)|^2 with
-the sphere transform in closed form for t != 0.  Both are exact, so their
+the sphere transform in closed form for every t.  Both are exact, so their
 agreement is asserted as equality of integers, not a tolerance check.
 
 bounds() reproduces the full decomposition of the spectral B-part
@@ -28,12 +28,15 @@ A(m, t) = sum_{s != 0} inner_k(m, s) zeta^{Tr(-s t)}, so
 sum_m e_m A(m, t) = sum_s W_k(s) zeta^{Tr(-s t)} with
 W_k(s) = sum_m e_m inner_k(m, s): a 1-D character transform over F_q of a
 weight that does not depend on t, and for t != 0
-nu_E(t) = q^{d-1} (A(t) + B_k).  W_k, B_k and the b_main/b_aux/m1/m2/m3
-sums are formed once per (energy, d, k), one _a_inner, b_term and
-_m_weights per key, and kept in the table's spectral_cache (one slot per
-(d, k), matched against the mapping's exact contents).  t = 0 sums the
-brute sphere transform over the keys; a_term and the closed sphere_ft stay
-as oracles for the tests and the sphere-ft command.
+nu_E(t) = q^{d-1} (A(t) + B_k).  At t = 0 the k-sphere also holds every x
+with at least k zero coordinates (their k-norm is 0), and the s = 0 subset
+sums of those strata are the b_aux weights, so
+nu_E(0) = q^{d-1} (A(0) + B_k) - q^d b_aux from the same sums.  W_k, B_k
+and the b_main/b_aux/m1/m2/m3 sums are formed once per (energy, d, k), one
+_a_inner, b_term and _m_weights per key, and kept in the table's
+spectral_cache (one slot per (d, k), matched against the mapping's exact
+contents).  The brute and closed sphere_ft and a_term stay as oracles for
+the tests and the sphere-ft command.
 
 The direct count and the distance set read the same index loop over
 E x E, which works on element indices and builds no objects per pair.
@@ -51,9 +54,9 @@ from typing import Optional
 from .characters import CharacterTable, character_table
 from .cyclotomic import Cyclotomic
 from .fourier import PointSet, spectral_energy
-from .gf import DEFAULT_CAP, Field, FieldElement, Point, enumerate_vectors
-from .geometry import (SphereSpec, _a_inner, b_term, b_term_alpha_range,
-                       sphere_ft)
+from .gf import (DEFAULT_CAP, Field, FieldElement, Point, enumerate_vectors,
+                 point_indices)
+from .geometry import SphereSpec, _a_inner, b_term, b_term_alpha_range
 
 
 def distance_set(E: PointSet, k: int) -> list[FieldElement]:
@@ -116,36 +119,18 @@ def nu_spectral(E: PointSet, t: FieldElement, k: int,
     """nu_E(t) via q^{2d} sum_m Shat_k^t(m) |Ehat(m)|^2 (exact rational).
 
     energy defaults to spectral_energy(E, cap), |Ehat|^2 summed per square
-    class.  For t != 0 the sum is q^{d-1} (A(t) + B_k), read from the
-    spectral summary of (energy, d, k); t = 0 sums the brute sphere_ft over
-    the keys, one call per key.
+    class.  The sum is read from the spectral summary of (energy, d, k):
+    nu_E(t) = q^{d-1} (A(t) + B_k) for t != 0, and
+    nu_E(0) = q^{d-1} (A(0) + B_k - q b_aux).  The sphere S_k^0 is the
+    t = 0 sphere equation on the x with Z(x) < k, plus every x with
+    Z(x) >= k; the transform of those strata at m is q^{-d} times the s = 0
+    subset sums over alpha in [k, d], and their energy-weighted sum over
+    the keys is -b_aux.
     """
-    table = _checked_table(E, t, table)
-    d = E.d
-    spec = SphereSpec(k, t)
-    spec.validate(d)
-    if energy is None:
-        energy = spectral_energy(E, cap)
-    q = E.field.q
-    if t.is_zero:
-        total = Cyclotomic.zero(E.field.p)
-        for m, e in energy.items():
-            total = total + sphere_ft(table, m, spec, "brute", cap) * e
-        return (total * q ** (2 * d)).rational_value()
-    summary = _spectral_summary(table, d, k, energy)
-    return ((summary.a_part(t) + summary.b_sum) * q ** (d - 1)).rational_value()
-
-
-def _checked_table(E: PointSet, t: FieldElement,
-                   table: Optional[CharacterTable]) -> CharacterTable:
-    """The table to use for (E, t), after t and table are checked to belong
-    to E's field: the spectral memo is keyed by class, not by field."""
-    f = E.field
-    if table is None:
-        table = character_table(f)
-    if t.field is not f or table.field is not f:
-        raise ValueError("elements belong to different fields")
-    return table
+    summary = _spectral_summary(E, t, k, table, energy, cap)
+    q, d = E.field.q, E.d
+    b = summary.b_sum - q * summary.b_aux if t.is_zero else summary.b_sum
+    return ((summary.a_part(t) + b) * q ** (d - 1)).rational_value()
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +254,8 @@ class _SpectralSummary:
         self._a: dict[int, Cyclotomic] = {}
 
     def a_part(self, t: FieldElement) -> Cyclotomic:
-        """A(t) for t != 0: each row W_k(s) rotated by Tr(-s t), summed on
-        ints and divided once."""
+        """A(t): each row W_k(s) rotated by Tr(-s t), summed on ints and
+        divided once; Tr(0) = 0, so A(0) is the unrotated sum."""
         a = self._a.get(t.index)
         if a is None:
             f = self.field
@@ -286,15 +271,37 @@ class _SpectralSummary:
         return a
 
 
-def _spectral_summary(table: CharacterTable, d: int, k: int,
-                      energy: dict[Point, Cyclotomic]) -> _SpectralSummary:
-    """The summary of energy at (d, k), from table.spectral_cache when its
-    one slot for (d, k) was built from equal contents, else built anew."""
+def _spectral_summary(E: PointSet, t: FieldElement, k: int,
+                      table: Optional[CharacterTable] = None,
+                      energy: Optional[dict[Point, Cyclotomic]] = None,
+                      cap: int = DEFAULT_CAP, *,
+                      nonzero_t: bool = False) -> _SpectralSummary:
+    """The summary of energy at (E.d, k), the one entry of nu_spectral and
+    bounds (nonzero_t refuses t = 0).
+
+    t and the table must belong to E's field, and so must every key of a
+    mapping that is built anew: the memo is keyed by square class, which
+    names neither the field nor d.  table.spectral_cache holds one slot per
+    (d, k), reused when it was built from equal contents; Point equality
+    implies the same field and d, so a reused slot needs no key check.
+    """
+    f = E.field
+    if table is None:
+        table = character_table(f)
+    if t.field is not f or table.field is not f:
+        raise ValueError("elements belong to different fields")
+    if nonzero_t and t.is_zero:
+        raise ValueError("bounds are defined for t != 0")
+    d = E.d
+    SphereSpec(k, t).validate(d)
+    if energy is None:
+        energy = spectral_energy(E, cap)
     contents = tuple(energy.items())
     summary = table.spectral_cache.get((d, k))
     if summary is None or summary.contents != contents:
-        summary = _SpectralSummary(table, d, k, contents)
-        table.spectral_cache[(d, k)] = summary
+        for m, _ in contents:
+            point_indices(f, d, m)
+        summary = table.spectral_cache[(d, k)] = _SpectralSummary(table, d, k, contents)
     return summary
 
 
@@ -307,15 +314,8 @@ def bounds(E: PointSet, t: FieldElement, k: int,
     energy is read as in nu_spectral: A(t), the B sums and the m1/m2/m3
     weights all come from the spectral summary of (energy, d, k).
     """
-    table = _checked_table(E, t, table)
-    if t.is_zero:
-        raise ValueError("bounds are defined for t != 0")
-    d = E.d
-    q = E.field.q
-    SphereSpec(k, t).validate(d)
-    if energy is None:
-        energy = spectral_energy(E, cap)
-    summary = _spectral_summary(table, d, k, energy)
+    summary = _spectral_summary(E, t, k, table, energy, cap, nonzero_t=True)
+    q, d = E.field.q, E.d
     a_bound = 2 * 3**d * q ** (-(d - 1) / 2) * len(E)
 
     refs = {

@@ -504,7 +504,10 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
     if not getattr(args, "config", None):
         return
     with open(args.config, "r", encoding="utf-8") as fh:
-        overrides = json.load(fh)
+        try:
+            overrides = json.load(fh)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ValueError("--config nests too deeply to parse") from None
     if not isinstance(overrides, dict):
         raise ValueError("--config must contain a JSON object")
     explicit = {a.lstrip("-").split("=", 1)[0].replace("-", "_")

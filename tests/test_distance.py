@@ -90,7 +90,8 @@ class TestNu:
             counts = nu_direct_all(E, k)
             assert sum(counts.values()) == len(E) ** 2
 
-    @pytest.mark.parametrize("q,d", [(3, 2), (3, 3), (5, 2), (7, 2), (9, 2)])
+    @pytest.mark.parametrize("q,d", [(3, 2), (3, 3), (5, 2), (7, 2), (9, 2),
+                                     (5, 3), (25, 2), (27, 2)])
     def test_spectral_matches_direct(self, q, d):
         f = field_for(q)
         table = character_table(f)
@@ -372,41 +373,41 @@ class TestSpectralEnergy:
 
 class TestWorkCounts:
     """Per (E, k), each key of the per-class energy gets one _a_inner,
-    b_term and _m_weights, for the spectral summary that every t != 0
-    shares; t != 0 costs no a_term and no closed sphere_ft, and t = 0 one
-    brute sphere_ft per key."""
+    b_term and _m_weights, for the spectral summary that every t shares,
+    t = 0 included; no t costs an a_term or a sphere_ft of either mode."""
 
     def test_one_call_per_key(self, monkeypatch):
         f = make_field(5)
-        table = character_table(f)
         calls = Counter()
 
         def counting(module, name):
             fn = getattr(module, name)
 
             def wrapped(*args, **kwargs):
-                key = (name, args[3]) if name == "sphere_ft" else name
-                calls[key] += 1
+                calls[name] += 1
                 return fn(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapped)
 
-        for name in ("sphere_ft", "_a_inner", "b_term", "_m_weights"):
+        for name in ("_a_inner", "b_term", "_m_weights"):
             counting(distance, name)
-        counting(geometry, "a_term")
+        for name in ("a_term", "sphere_ft"):
+            counting(geometry, name)
+        assert not hasattr(distance, "sphere_ft")
+        nonzero = f.elements[1:]
         for size in (1, 3, 5, 25, 125):
             E = random_subset(f, 3, size, seed=size)
             energy = spectral_energy(E)
             n = len(energy)
             assert n <= 10  # the square classes of F_5^3
             for k in range(1, 4):
-                calls.clear()
-                for t in f.elements[1:]:
-                    nu_spectral(E, t, k, table, energy)
-                    bounds(E, t, k, table, energy)
-                assert calls == {"_a_inner": n, "b_term": n, "_m_weights": n}
-                calls.clear()
-                nu_spectral(E, f.zero, k, table, energy)
-                assert calls == {("sphere_ft", "brute"): n}
+                for ts in ([f.zero, *nonzero], [*nonzero, f.zero]):
+                    table = CharacterTable(f)  # an empty summary memo
+                    calls.clear()
+                    for t in ts:
+                        nu_spectral(E, t, k, table, energy)
+                        if not t.is_zero:
+                            bounds(E, t, k, table, energy)
+                    assert calls == {"_a_inner": n, "b_term": n, "_m_weights": n}
 
 
 def _memo_results(E, k, table, energy):
@@ -464,7 +465,7 @@ class TestSpectralSummary:
         E = random_subset(f, d, 7, seed=q)
         energy = spectral_energy(E)
         for k in range(1, d + 1):
-            summary = distance._spectral_summary(table, d, k, energy)
+            summary = distance._spectral_summary(E, f.one, k, table, energy)
             for t in f.elements[1:]:
                 want = Cyclotomic.zero(f.p)
                 for m, e in energy.items():
@@ -473,8 +474,9 @@ class TestSpectralSummary:
 
 
 class TestFieldChecks:
-    """t and the table must belong to E's field: the summary memo is keyed
-    by square class, which does not name the field."""
+    """t, the table and the energy keys must belong to E's field, and the
+    keys to E's d: the summary memo is keyed by square class, which names
+    neither."""
 
     def test_t_from_another_field(self):
         f5, f7 = make_field(5), make_field(7)
@@ -506,6 +508,33 @@ class TestFieldChecks:
         # a GF(25) element is not a GF(5) radius either
         with pytest.raises(ValueError, match="^elements belong to different fields$"):
             nu_spectral(E5, f25.element(1), 1)
+
+    def test_energy_keys_from_another_space(self):
+        f5 = make_field(5)
+        table = CharacterTable(f5)
+        E = random_subset(f5, 2, 6, seed=11)
+        foreign = (
+            spectral_energy(random_subset(f5, 3, 6, seed=11)),
+            # GF(25) has the same p, so no mixed-primes error can catch it
+            spectral_energy(random_subset(field_for(25), 2, 6, seed=11)),
+        )
+        for k in (1, 2):
+            for energy in foreign:
+                for t in (f5.zero, f5.one):
+                    with pytest.raises(ValueError, match=r"does not belong to GF\(5\)\^2$"):
+                        nu_spectral(E, t, k, table, energy)
+                with pytest.raises(ValueError, match=r"does not belong to GF\(5\)\^2$"):
+                    bounds(E, f5.one, k, table, energy)
+            # a slot warmed with a valid mapping does not admit a foreign one
+            direct = nu_direct_all(E, k)
+            assert nu_spectral(E, f5.zero, k, table) == direct[0]
+            for energy in foreign:
+                with pytest.raises(ValueError, match=r"does not belong to GF\(5\)\^2$"):
+                    nu_spectral(E, f5.one, k, table, energy)
+            # a per-frequency dict keys every frequency of the right space
+            per_freq = _per_frequency_energy(E)
+            for t in f5.elements:
+                assert nu_spectral(E, t, k, table, per_freq) == direct[t.index]
 
 
 class TestSharpness:

@@ -308,6 +308,17 @@ class TestConfigFile:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    def test_deeply_nested_config_exit_2(self, tmp_path, capsys):
+        # written as raw text: json.dumps recurses at this depth too
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 200_000 + "]" * 200_000)
+        code = main(["verify-identities", "--q", "3", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_config_supplies_flags(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"q": 3, "d": 2, "k": 1, "size": 4, "seed": 5}))
