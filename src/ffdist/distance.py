@@ -54,8 +54,7 @@ from typing import Optional
 from .characters import CharacterTable, character_table
 from .cyclotomic import Cyclotomic
 from .fourier import PointSet, spectral_energy
-from .gf import (DEFAULT_CAP, Field, FieldElement, Point, enumerate_vectors,
-                 point_indices)
+from .gf import Field, FieldElement, Point, enumerate_vectors, point_indices
 from .geometry import SphereSpec, _a_inner, b_term, b_term_alpha_range
 
 
@@ -114,11 +113,10 @@ def nu_direct_all(E: PointSet, k: int) -> Counter:
 
 def nu_spectral(E: PointSet, t: FieldElement, k: int,
                 table: Optional[CharacterTable] = None,
-                energy: Optional[dict[Point, Cyclotomic]] = None,
-                cap: int = DEFAULT_CAP) -> Fraction:
+                energy: Optional[dict[Point, Cyclotomic]] = None) -> Fraction:
     """nu_E(t) via q^{2d} sum_m Shat_k^t(m) |Ehat(m)|^2 (exact rational).
 
-    energy defaults to spectral_energy(E, cap), |Ehat|^2 summed per square
+    energy defaults to spectral_energy(E), |Ehat|^2 summed per square
     class.  The sum is read from the spectral summary of (energy, d, k):
     nu_E(t) = q^{d-1} (A(t) + B_k) for t != 0, and
     nu_E(0) = q^{d-1} (A(0) + B_k - q b_aux).  The sphere S_k^0 is the
@@ -127,7 +125,7 @@ def nu_spectral(E: PointSet, t: FieldElement, k: int,
     subset sums over alpha in [k, d], and their energy-weighted sum over
     the keys is -b_aux.
     """
-    summary = _spectral_summary(E, t, k, table, energy, cap)
+    summary = _spectral_summary(E, t, k, table, energy)
     q, d = E.field.q, E.d
     b = summary.b_sum - q * summary.b_aux if t.is_zero else summary.b_sum
     return ((summary.a_part(t) + b) * q ** (d - 1)).rational_value()
@@ -273,8 +271,7 @@ class _SpectralSummary:
 
 def _spectral_summary(E: PointSet, t: FieldElement, k: int,
                       table: Optional[CharacterTable] = None,
-                      energy: Optional[dict[Point, Cyclotomic]] = None,
-                      cap: int = DEFAULT_CAP, *,
+                      energy: Optional[dict[Point, Cyclotomic]] = None, *,
                       nonzero_t: bool = False) -> _SpectralSummary:
     """The summary of energy at (E.d, k), the one entry of nu_spectral and
     bounds (nonzero_t refuses t = 0).
@@ -295,7 +292,7 @@ def _spectral_summary(E: PointSet, t: FieldElement, k: int,
     d = E.d
     SphereSpec(k, t).validate(d)
     if energy is None:
-        energy = spectral_energy(E, cap)
+        energy = spectral_energy(E)
     contents = tuple(energy.items())
     summary = table.spectral_cache.get((d, k))
     if summary is None or summary.contents != contents:
@@ -307,14 +304,13 @@ def _spectral_summary(E: PointSet, t: FieldElement, k: int,
 
 def bounds(E: PointSet, t: FieldElement, k: int,
            table: Optional[CharacterTable] = None,
-           energy: Optional[dict[Point, Cyclotomic]] = None,
-           cap: int = DEFAULT_CAP) -> BoundReport:
+           energy: Optional[dict[Point, Cyclotomic]] = None) -> BoundReport:
     """Evaluate the A-part bound and the full B-decomposition for (E, t, k).
 
     energy is read as in nu_spectral: A(t), the B sums and the m1/m2/m3
     weights all come from the spectral summary of (energy, d, k).
     """
-    summary = _spectral_summary(E, t, k, table, energy, cap, nonzero_t=True)
+    summary = _spectral_summary(E, t, k, table, energy, nonzero_t=True)
     q, d = E.field.q, E.d
     a_bound = 2 * 3**d * q ** (-(d - 1) / 2) * len(E)
 
@@ -337,14 +333,14 @@ def bounds(E: PointSet, t: FieldElement, k: int,
     )
 
 
-def sharpness_example(field: Field, d: int, k: int, cap: int = DEFAULT_CAP) -> PointSet:
+def sharpness_example(field: Field, d: int, k: int) -> PointSet:
     """E = F_q^{d-k} x {0}^k: a set of size q^{d-k} with D_k(E) = {0}."""
     if not 1 <= k <= d:
         raise ValueError(f"k must lie in [1, {d}], got {k}")
     if k == d:
         pts = [Point(field, (0,) * d)]
     else:
-        # enumerate_vectors refuses q^(d-k) > cap before forming it
+        # enumerate_vectors refuses q^(d-k) > gf.CAP before forming it
         pts = [Point(field, head.idx + (0,) * k)
-               for head in enumerate_vectors(field, d - k, cap)]
+               for head in enumerate_vectors(field, d - k)]
     return PointSet(field, d, pts)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
 from .cyclotomic import Cyclotomic
-from .gf import DEFAULT_CAP, Field, Point, enumerate_vectors, point_indices
+from .gf import Field, Point, enumerate_vectors, point_indices
 
 Value = Union[Cyclotomic, int, Fraction]
 
@@ -64,10 +64,9 @@ class PointSet:
         return f"PointSet(q={self.field.q}, d={self.d}, size={len(self)})"
 
 
-def dft(field: Field, d: int, f: Mapping[Point, Value],
-        cap: int = DEFAULT_CAP) -> dict[Point, Cyclotomic]:
+def dft(field: Field, d: int, f: Mapping[Point, Value]) -> dict[Point, Cyclotomic]:
     """Transform of a function given by its support (absent points are 0)."""
-    domain = enumerate_vectors(field, d, cap)
+    domain = enumerate_vectors(field, d)
     p = field.p
     scale = Fraction(1, field.q**d)
     support = [(point_indices(field, d, x),
@@ -83,14 +82,14 @@ def dft(field: Field, d: int, f: Mapping[Point, Value],
     return values
 
 
-def _indicator_counts(E: PointSet, cap: int) -> Iterator[tuple[Point, list[int]]]:
+def _indicator_counts(E: PointSet) -> Iterator[tuple[Point, list[int]]]:
     """(m, c) for every m in lexicographic order, c[j] the number of x in E
     with Tr(-x.m) = j, so that q^d Ehat(m) = sum_j c[j] zeta^j."""
     field = E.field
     p = field.p
     dot, trace, neg = field.dot, field._trace, field._neg
     pts = [x.idx for x in E]
-    for m in enumerate_vectors(field, E.d, cap):
+    for m in enumerate_vectors(field, E.d):
         mi = m.idx
         c = [0] * p
         for x in pts:
@@ -98,18 +97,18 @@ def _indicator_counts(E: PointSet, cap: int) -> Iterator[tuple[Point, list[int]]
         yield m, c
 
 
-def dft_indicator(E: PointSet, cap: int = DEFAULT_CAP) -> dict[Point, Cyclotomic]:
+def dft_indicator(E: PointSet) -> dict[Point, Cyclotomic]:
     """Ehat(m) = q^{-d} sum over x in E of chi(-x.m)."""
     p = E.field.p
     scale = Fraction(1, E.field.q**E.d)
-    return {m: Cyclotomic(p, c) * scale for m, c in _indicator_counts(E, cap)}
+    return {m: Cyclotomic(p, c) * scale for m, c in _indicator_counts(E)}
 
 
-def inverse_dft(field: Field, d: int, fhat: Mapping[Point, Cyclotomic],
-                cap: int = DEFAULT_CAP) -> dict[Point, Cyclotomic]:
+def inverse_dft(field: Field, d: int,
+                fhat: Mapping[Point, Cyclotomic]) -> dict[Point, Cyclotomic]:
     """f(x) = sum_m chi(m.x) fhat(m); exact inverse of dft (absent
     frequencies are 0)."""
-    domain = enumerate_vectors(field, d, cap)
+    domain = enumerate_vectors(field, d)
     p = field.p
     dot, trace = field.dot, field._trace
     # every value is carried over the lcm of the denominators, so the sums
@@ -133,7 +132,7 @@ def inverse_dft(field: Field, d: int, fhat: Mapping[Point, Cyclotomic],
     return out
 
 
-def spectral_energy(E: PointSet, cap: int = DEFAULT_CAP) -> dict[Point, Cyclotomic]:
+def spectral_energy(E: PointSet) -> dict[Point, Cyclotomic]:
     """|Ehat|^2 summed per square class: m -> sum of |Ehat(m')|^2 over the
     frequencies m' with m'.square_class() == m.square_class().
 
@@ -149,7 +148,7 @@ def spectral_energy(E: PointSet, cap: int = DEFAULT_CAP) -> dict[Point, Cyclotom
     """
     p = E.field.p
     classes: dict[tuple[int, ...], tuple[Point, list[int]]] = {}
-    for m, c in _indicator_counts(E, cap):  # lexicographic order
+    for m, c in _indicator_counts(E):  # lexicographic order
         key = m.square_class()
         entry = classes.get(key)
         if entry is None:
@@ -170,10 +169,10 @@ def spectral_energy(E: PointSet, cap: int = DEFAULT_CAP) -> dict[Point, Cyclotom
     return energy
 
 
-def plancherel_check(E: PointSet, cap: int = DEFAULT_CAP) -> tuple[Fraction, Fraction]:
+def plancherel_check(E: PointSet) -> tuple[Fraction, Fraction]:
     """(sum_m |Ehat(m)|^2, q^{-d} |E|); the two must be equal exactly."""
     field = E.field
     total = Cyclotomic.zero(field.p)
-    for v in spectral_energy(E, cap).values():
+    for v in spectral_energy(E).values():
         total = total + v
     return total.rational_value(), Fraction(len(E), field.q**E.d)

@@ -27,7 +27,7 @@ from typing import List, Sequence
 from .characters import CharacterTable, _check_field
 from .cyclotomic import Cyclotomic
 from .fourier import PointSet
-from .gf import DEFAULT_CAP, Field, FieldElement, Point, enumerate_vectors, point_indices
+from .gf import Field, FieldElement, Point, enumerate_vectors, point_indices
 
 
 @dataclass(frozen=True)
@@ -52,19 +52,18 @@ def k_norm(x: Point, k: int) -> FieldElement:
 
 
 @lru_cache(maxsize=None)
-def stratum(field: Field, d: int, alpha: int, cap: int = DEFAULT_CAP) -> PointSet:
+def stratum(field: Field, d: int, alpha: int) -> PointSet:
     """N_alpha: points with exactly alpha zero coordinates."""
     if not 0 <= alpha <= d:
         raise ValueError(f"alpha must lie in [0, {d}], got {alpha}")
-    pts = [x for x in enumerate_vectors(field, d, cap) if x.zero_count() == alpha]
+    pts = [x for x in enumerate_vectors(field, d) if x.zero_count() == alpha]
     return PointSet(field, d, pts)
 
 
 @lru_cache(maxsize=None)
-def sphere_points(field: Field, d: int, k: int, t: FieldElement,
-                  cap: int = DEFAULT_CAP) -> PointSet:
+def sphere_points(field: Field, d: int, k: int, t: FieldElement) -> PointSet:
     SphereSpec(k, t).validate(d)
-    pts = [x for x in enumerate_vectors(field, d, cap) if k_norm(x, k) == t]
+    pts = [x for x in enumerate_vectors(field, d) if k_norm(x, k) == t]
     return PointSet(field, d, pts)
 
 
@@ -100,14 +99,14 @@ def _quadratic_factors(table: CharacterTable, s: FieldElement, m: Point) -> list
 
 
 def stratum_sum_brute(table: CharacterTable, d: int, alpha: int, s: FieldElement,
-                      m: Point, cap: int = DEFAULT_CAP) -> Cyclotomic:
+                      m: Point) -> Cyclotomic:
     """sum over x in N_alpha of chi(s ||x|| - m.x), by direct enumeration."""
     f = table.field
     _check_field(table, s)
     mi = point_indices(f, d, m)
     row, dot, add, neg, trace = f._mul[s.index], f.dot, f._add, f._neg, f._trace
     counts = Counter(trace[add[row[dot(x.idx, x.idx)]][neg[dot(mi, x.idx)]]]
-                     for x in stratum(f, d, alpha, cap))
+                     for x in stratum(f, d, alpha))
     return table.chi_sum(counts)
 
 
@@ -119,6 +118,8 @@ def lemma31_sum(table: CharacterTable, d: int, alpha: int, s: FieldElement,
     s = 0 it contributes (q-1)^{Z(m_I)} (-1)^{|I| - Z(m_I)}.  The empty
     subset (alpha = d) contributes 1 in both branches.
     """
+    _check_field(table, s)
+    point_indices(table.field, d, m)
     if not 0 <= alpha <= d:
         raise ValueError(f"alpha must lie in [0, {d}], got {alpha}")
     p = table.field.p
@@ -184,8 +185,8 @@ def b_term(field: Field, m: Point, k: int) -> int:
     return b_term_alpha_range(field, m, 0, k - 1)
 
 
-def sphere_ft(table: CharacterTable, m: Point, spec: SphereSpec, mode: str = "closed",
-              cap: int = DEFAULT_CAP) -> Cyclotomic:
+def sphere_ft(table: CharacterTable, m: Point, spec: SphereSpec,
+              mode: str = "closed") -> Cyclotomic:
     """Fourier coefficient of the sphere indicator at frequency m.
 
     mode="brute" sums chi(-x.m) over the sphere; mode="closed" evaluates
@@ -197,7 +198,7 @@ def sphere_ft(table: CharacterTable, m: Point, spec: SphereSpec, mode: str = "cl
     if mode == "brute":
         mi = point_indices(f, d, m)
         dot, trace, neg = f.dot, f._trace, f._neg
-        pts = sphere_points(f, d, spec.k, spec.t, cap)
+        pts = sphere_points(f, d, spec.k, spec.t)
         counts = Counter(trace[neg[dot(x.idx, mi)]] for x in pts)
         return table.chi_sum(counts) * Fraction(1, f.q**d)
     if mode != "closed":

@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 from .cyclotomic import check_odd_prime
 
-DEFAULT_CAP = 10**6
+CAP = 10**6  # the bound on q^d for every enumeration and sample
 _MAX_Q = 2048  # table-based arithmetic; larger fields are out of scope
 
 
@@ -484,32 +484,32 @@ def point_from_index(field: Field, d: int, index: int) -> Point:
     return Point(field, reversed(coords))
 
 
-def space_size(q: int, d: int, cap: int) -> int:
-    """|F_q^d| = q^d, refusing d < 1 and q^d > cap.
+def space_size(q: int, d: int) -> int:
+    """|F_q^d| = q^d, refusing d < 1 and q^d > CAP.
 
-    2^d > cap once d exceeds the cap's bit length, so a huge d is refused
+    2^d > CAP once d exceeds CAP's bit length, so a huge d is refused
     before q**d is formed, and the message names q and d, not q^d.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if not within_cap(q, d, cap):
-        raise ValueError(f"q^d = {q}^{d} exceeds enumeration cap {cap}")
+    if not within_cap(q, d):
+        raise ValueError(f"q^d = {q}^{d} exceeds enumeration cap {CAP}")
     return q**d
 
 
-def within_cap(q: int, d: int, cap: int) -> bool:
-    """q^d <= cap, decided without forming q**d once 2^d > cap."""
-    return d <= cap.bit_length() and q**d <= cap
+def within_cap(q: int, d: int) -> bool:
+    """q^d <= CAP, decided without forming q**d once 2^d > CAP."""
+    return d <= CAP.bit_length() and q**d <= CAP
 
 
-def index_vectors(field: Field, d: int, cap: int = DEFAULT_CAP) -> Iterable[tuple[int, ...]]:
+def index_vectors(field: Field, d: int) -> Iterable[tuple[int, ...]]:
     """The index tuples of all q^d points in lexicographic order (first
-    coordinate most significant), after the cap check."""
-    space_size(field.q, d, cap)
+    coordinate most significant), once space_size has checked q^d <= CAP."""
+    space_size(field.q, d)
     return product(range(field.q), repeat=d)
 
 
-def enumerate_vectors(field: Field, d: int, cap: int = DEFAULT_CAP) -> list[Point]:
+def enumerate_vectors(field: Field, d: int) -> list[Point]:
     """All q^d points in lexicographic order.
 
     index_vectors yields only in-range index tuples, so the points are built
@@ -517,7 +517,7 @@ def enumerate_vectors(field: Field, d: int, cap: int = DEFAULT_CAP) -> list[Poin
     """
     new = Point.__new__
     out = []
-    for idx in index_vectors(field, d, cap):
+    for idx in index_vectors(field, d):
         pt = new(Point)
         pt.field = field
         pt.idx = idx

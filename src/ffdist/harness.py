@@ -30,8 +30,8 @@ from .distance import (bounds, distance_set, nu_direct_all, nu_spectral,
                        sharpness_example)
 from .fourier import PointSet, spectral_energy
 from .geometry import SphereSpec, sphere_ft
-from .gf import (DEFAULT_CAP, Field, Point, enumerate_vectors, factor_prime_power,
-                 make_field, point_from_index, space_size, within_cap)
+from .gf import (Field, Point, enumerate_vectors, factor_prime_power, make_field,
+                 point_from_index, space_size, within_cap)
 
 CSV_COLUMNS = ("q", "p", "s", "d", "k", "t", "size", "trial", "metric", "value")
 
@@ -45,10 +45,9 @@ def substream_id(seed: int, trial: int, label: str = "sample") -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def sample_set(field: Field, d: int, size: int, seed: int, trial: int,
-               cap: int = DEFAULT_CAP) -> PointSet:
+def sample_set(field: Field, d: int, size: int, seed: int, trial: int) -> PointSet:
     """Uniform without-replacement sample of F_q^d, deterministic in (seed, trial)."""
-    n = space_size(field.q, d, cap)
+    n = space_size(field.q, d)
     if size > n:
         raise ValueError(f"sample size {size} exceeds |F_q^d| = {n}")
     rng = random.Random(substream_id(seed, trial))
@@ -64,7 +63,6 @@ class ExperimentConfig:
     seed: int = 0
     trials: int = 1
     size_grid: Optional[tuple[int, ...]] = None  # None = auto geometric grid
-    cap: int = DEFAULT_CAP
 
     def __post_init__(self):
         if self.trials < 1:
@@ -84,7 +82,7 @@ class ExperimentConfig:
                              "is out of range") from None
 
     def resolve_sizes(self, q: int) -> tuple[int, ...]:
-        n = space_size(q, self.d, self.cap)  # before any size arithmetic
+        n = space_size(q, self.d)  # before any size arithmetic
         if self.size_grid is not None:
             sizes = self.size_grid
             if any(not 1 <= s <= n for s in sizes):
@@ -126,31 +124,32 @@ def threshold_sweep(field: Field, config: ExperimentConfig,
 
     Checks: every sharpness trial checks that its direct distance set is
     exactly {0}, and every trial draws the 5% spectral cross-check if
-    q^d <= cap.  Only the sharpness example can lie past the cap, where the
-    spectral route cannot enumerate the frequencies and nothing is drawn.
+    q^d <= gf.CAP.  Only the sharpness example can lie past that bound,
+    where the spectral route cannot enumerate the frequencies and nothing
+    is drawn.
     """
     from .distance import _distance_indices
 
     q = field.q
     records: list[SweepRecord] = []
     # the example is built (and its size checked) once, before any q^(d-k)
-    sharp = (sharpness_example(field, config.d, config.k, config.cap)
+    sharp = (sharpness_example(field, config.d, config.k)
              if force_sharpness else None)
     sizes = (len(sharp),) if sharp is not None else config.resolve_sizes(q)
-    spectral = within_cap(q, config.d, config.cap)
+    spectral = within_cap(q, config.d)
     for size in sizes:
         for trial in range(config.trials):
             start = time.perf_counter()
             sub = substream_id(config.seed, trial)
             E = sharp if sharp is not None else sample_set(
-                field, config.d, size, config.seed, trial, config.cap)
+                field, config.d, size, config.seed, trial)
             found = _distance_indices(E, config.k)
             missing = tuple(sorted(set(range(q)) - found))
             if sharp is not None and found != {0}:
                 raise CheckFailed(f"sharpness example has distances {sorted(found)}, not [0]")
             xcheck = random.Random(substream_id(config.seed, trial, f"xcheck:{size}"))
             if spectral and xcheck.random() < 0.05:
-                _cross_check_coverage(field, E, config.k, found, config.cap)
+                _cross_check_coverage(field, E, config.k, found)
             records.append(SweepRecord(
                 q=q, d=config.d, k=config.k, size=len(E), trial=trial,
                 substream=sub, full_coverage=not missing, missing_radii=missing,
@@ -171,13 +170,12 @@ class CheckFailed(Exception):
     """An exact cross-check disagreed; main() reports it and exits 1."""
 
 
-def _cross_check_coverage(field: Field, E: PointSet, k: int, found: set[int],
-                          cap: int) -> None:
+def _cross_check_coverage(field: Field, E: PointSet, k: int, found: set[int]) -> None:
     # the spectral pair count must agree with direct coverage membership
     table = character_table(field)
-    energy = spectral_energy(E, cap)
+    energy = spectral_energy(E)
     for t in field.elements:
-        count = nu_spectral(E, t, k, table, energy, cap)
+        count = nu_spectral(E, t, k, table, energy)
         if (count > 0) != (t.index in found):
             raise CheckFailed(
                 f"spectral/direct coverage mismatch at t={t.index}: nu={count}")
@@ -225,7 +223,7 @@ def _resolve_field(args) -> Field:
     if args.q is not None:
         p, s = factor_prime_power(args.q)
     elif args.p is not None:
-        p, s = args.p, args.s or 1
+        p, s = args.p, 1 if args.s is None else args.s
     else:
         raise ValueError("specify the field via --q or --p/--s")
     return make_field(p, s)
@@ -233,10 +231,10 @@ def _resolve_field(args) -> Field:
 
 def _sample_or_sharpness(field: Field, args) -> PointSet:
     if getattr(args, "use_sharpness", False):
-        return sharpness_example(field, args.d, args.k, args.cap)
+        return sharpness_example(field, args.d, args.k)
     if args.size is None:
         raise ValueError("--size is required unless --use-sharpness is given")
-    return sample_set(field, args.d, args.size, args.seed, args.trial, args.cap)
+    return sample_set(field, args.d, args.size, args.seed, args.trial)
 
 
 def cmd_verify_identities(args) -> tuple[dict, list[dict], int]:
@@ -265,16 +263,16 @@ def cmd_sphere_ft(args) -> tuple[dict, list[dict], int]:
         if ms[0].d != args.d:
             raise ValueError(f"--m must have {args.d} coordinates")
     else:
-        ms = enumerate_vectors(field, args.d, args.cap)
+        ms = enumerate_vectors(field, args.d)
     records = []
     rows = []
     mismatches = 0
     for m in ms:
         rec: dict = {"m": list(m.idx)}
         if args.mode in ("closed", "both"):
-            rec["closed"] = cyclo_strings(sphere_ft(table, m, spec, "closed", args.cap))
+            rec["closed"] = cyclo_strings(sphere_ft(table, m, spec, "closed"))
         if args.mode in ("brute", "both"):
-            rec["brute"] = cyclo_strings(sphere_ft(table, m, spec, "brute", args.cap))
+            rec["brute"] = cyclo_strings(sphere_ft(table, m, spec, "brute"))
         if args.mode == "both":
             rec["equal"] = rec["closed"] == rec["brute"]
             mismatches += 0 if rec["equal"] else 1
@@ -318,7 +316,7 @@ def cmd_nu(args) -> tuple[dict, list[dict], int]:
     field = _resolve_field(args)
     E = _sample_or_sharpness(field, args)
     table = character_table(field)
-    energy = spectral_energy(E, args.cap)
+    energy = spectral_energy(E)
     direct_all = nu_direct_all(E, args.k)
     ts = [field.element(args.t)] if args.t is not None else list(field.elements)
     records = []
@@ -326,7 +324,7 @@ def cmd_nu(args) -> tuple[dict, list[dict], int]:
     failures = 0
     for t in ts:
         direct = direct_all[t.index]
-        spectral = nu_spectral(E, t, args.k, table, energy, args.cap)
+        spectral = nu_spectral(E, t, args.k, table, energy)
         equal = spectral == direct
         failures += 0 if equal else 1
         records.append({"q": field.q, "p": field.p, "s": field.s, "d": args.d,
@@ -350,7 +348,7 @@ def cmd_bounds(args) -> tuple[dict, list[dict], int]:
         raise ValueError("bounds require t != 0")
     E = _sample_or_sharpness(field, args)
     t = field.element(args.t)
-    report = bounds(E, t, args.k, cap=args.cap)
+    report = bounds(E, t, args.k)
     payload = {
         "command": "bounds",
         "field": _field_meta(field, args.d, args.k),
@@ -374,7 +372,7 @@ def cmd_bounds(args) -> tuple[dict, list[dict], int]:
 
 def cmd_sharpness(args) -> tuple[dict, list[dict], int]:
     field = _resolve_field(args)
-    E = sharpness_example(field, args.d, args.k, args.cap)
+    E = sharpness_example(field, args.d, args.k)
     dset = [e.index for e in distance_set(E, args.k)]
     ok = len(E) == field.q ** (args.d - args.k) and dset == [0]
     payload = {
@@ -395,7 +393,7 @@ def cmd_threshold_sweep(args) -> tuple[dict, list[dict], int]:
         sizes = tuple(int(x) for x in args.sizes.split(","))
     config = ExperimentConfig(
         d=args.d, k=args.k, C=Fraction(args.C), seed=args.seed,
-        trials=args.trials, size_grid=sizes, cap=args.cap,
+        trials=args.trials, size_grid=sizes,
     )
     records, summaries = threshold_sweep(field, config, args.use_sharpness)
     payload = {
@@ -438,7 +436,6 @@ def _add_common(sub: argparse.ArgumentParser, *, need_d: bool = False,
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     sub.add_argument("--out", type=str, default=None)
-    sub.add_argument("--cap", type=int, default=DEFAULT_CAP)
     sub.add_argument("--config", type=str, default=None,
                      help="JSON file supplying any of the flags by name")
     if need_d:
@@ -451,8 +448,16 @@ def _add_common(sub: argparse.ArgumentParser, *, need_d: bool = False,
         sub.add_argument("--use-sharpness", action="store_true")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, so main() reports them in one line and
+    returns 2; add_subparsers makes every subcommand parser one too."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ffdist",
         description="Exact-arithmetic toolkit for k-distance sets over finite fields",
     )
@@ -500,9 +505,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                       argv: Sequence[str]) -> None:
+                       argv: Sequence[str]) -> argparse.Namespace:
+    """args with the --config values as the subcommand's defaults.
+
+    argv is parsed again over those defaults, so argparse itself lets every
+    flag on the command line win, under any spelling it accepts.
+    """
     if not getattr(args, "config", None):
-        return
+        return args
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
             overrides = json.load(fh)
@@ -510,12 +520,12 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
             raise ValueError("--config nests too deeply to parse") from None
     if not isinstance(overrides, dict):
         raise ValueError("--config must contain a JSON object")
-    explicit = {a.lstrip("-").split("=", 1)[0].replace("-", "_")
-                for a in argv if a.startswith("--")}
     subcommands = next(a for a in parser._actions
                        if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in subcommands.choices[args.command]._actions
+    sub = subcommands.choices[args.command]
+    actions = {a.dest: a for a in sub._actions
                if a.default is not argparse.SUPPRESS}  # all but --help
+    defaults = {}
     for key, value in overrides.items():
         attr = key.replace("-", "_")
         if attr == "format":
@@ -532,16 +542,16 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         if action.choices is not None and value not in action.choices:
             raise ValueError(f"config field {key!r} must be one of "
                              f"{', '.join(map(str, action.choices))}, got {value!r}")
-        if attr not in explicit:
-            setattr(args, attr, value)
+        defaults[attr] = value
+    sub.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _apply_config_file(args, parser, argv)
+        args = _apply_config_file(parser.parse_args(argv), parser, argv)
         for required in ("d", "k"):
             if hasattr(args, required) and getattr(args, required) is None:
                 raise ValueError(f"--{required} is required for this subcommand")

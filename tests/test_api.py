@@ -4,14 +4,17 @@ A deletion that leaves a name in ffdist.__all__, or removes a function that
 perfbench/spans.py wraps by name, fails here rather than in a traced run.
 """
 
+import dataclasses
 import importlib
 import importlib.util
+import inspect
+import pkgutil
 from pathlib import Path
 
 import pytest
 
 import ffdist
-from ffdist import characters, distance, fourier, geometry, gf
+from ffdist import characters, distance, fourier, geometry, gf, harness
 from ffdist.cyclotomic import Cyclotomic
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -74,3 +77,39 @@ def test_tracer_runs_the_spectral_layers():
     names = {span[0] for span in tracer.spans}
     assert {"distance.nu_spectral", "distance.bounds", "geometry.sphere_ft",
             "fourier.spectral_energy"} <= names
+
+
+def _own_routines():
+    """(qualified name, routine) for every function, lru_cache wrapper and
+    method defined in an ffdist module."""
+    for info in pkgutil.iter_modules(ffdist.__path__):
+        if info.name == "__main__":  # runs the CLI on import
+            continue
+        module = importlib.import_module("ffdist." + info.name)
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)  # static/class
+                    if inspect.isfunction(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
+            elif inspect.isroutine(obj):
+                yield f"{module.__name__}.{name}", obj
+
+
+def test_one_enumeration_bound():
+    # the bound on q^d is the constant gf.CAP: no function takes a cap, no
+    # config carries one and no subcommand accepts --cap
+    routines = dict(_own_routines())
+    assert {"ffdist.gf.enumerate_vectors", "ffdist.geometry.stratum",
+            "ffdist.harness.ExperimentConfig.resolve_sizes"} <= routines.keys()
+    takes_cap = [name for name, fn in routines.items()
+                 if "cap" in inspect.signature(fn).parameters]
+    assert takes_cap == []
+    assert "cap" not in {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
+    subcommands = next(a for a in harness.build_parser()._actions
+                       if a.dest == "command")
+    assert len(subcommands.choices) == 7
+    for sub in subcommands.choices.values():
+        assert "--cap" not in sub._option_string_actions

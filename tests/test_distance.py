@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ffdist.characters import CharacterTable, character_table
 from ffdist.cyclotomic import Cyclotomic
-from ffdist import distance, geometry
+from ffdist import distance, geometry, gf
 from ffdist.distance import (BoundReport, _distance_indices,
                              alternating_binomial_sum, bounds, distance_set,
                              nu_direct_all, nu_spectral, sharpness_example)
@@ -563,6 +563,9 @@ class TestSharpness:
         with pytest.raises(ValueError):
             sharpness_example(make_field(3), 2, 3)
 
-    def test_cap(self):
-        with pytest.raises(ValueError):
-            sharpness_example(make_field(7), 3, 1, cap=10)
+    def test_cap(self, monkeypatch):
+        # q^(d-k) = 3^13 is refused before any point is built
+        monkeypatch.setattr(gf, "product", None)
+        with pytest.raises(ValueError,
+                           match=r"^q\^d = 3\^13 exceeds enumeration cap 1000000$"):
+            sharpness_example(make_field(3), 14, 1)

@@ -123,15 +123,22 @@ class TestStratumSums:
                         stratum_sum_brute(table, d, alpha, s, m)
 
     def test_foreign_inputs_rejected(self):
-        # the brute loops read raw indices, so s and m are checked first
+        # the brute loops read raw indices and the closed form reads m's
+        # coordinates, so both check s and m first
         f, table = setup_q(7)
         m = Point(f, (1, 2))
-        with pytest.raises(ValueError, match="different fields"):
-            stratum_sum_brute(table, 2, 0, make_field(3, 2).element(5), m)
         other = Point(make_field(5), (1, 2))
-        for bad in (Point(f, (1, 2, 0)), other):
-            with pytest.raises(ValueError, match="does not belong"):
-                stratum_sum_brute(table, 2, 0, f.one, bad)
+        for stratum_sum in (stratum_sum_brute, lemma31_sum):
+            for s in (make_field(3, 2).element(5), make_field(5).zero):
+                with pytest.raises(ValueError, match="different fields"):
+                    stratum_sum(table, 2, 0, s, m)
+            for bad in (Point(f, (1, 2, 0)), other):
+                with pytest.raises(ValueError, match="does not belong"):
+                    stratum_sum(table, 2, 0, f.one, bad)
+            # an m of another dimension than d, either side
+            for d in (1, 3):
+                with pytest.raises(ValueError, match="does not belong"):
+                    stratum_sum(table, d, 0, f.one, m)
         with pytest.raises(ValueError, match="does not belong"):
             sphere_ft(table, other, SphereSpec(1, f.one), "brute")
 

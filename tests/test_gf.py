@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ffdist import gf
 from ffdist.cyclotomic import Cyclotomic
 from ffdist.gf import (Field, FieldElement, Point, _poly_mul, _poly_powmod,
                        _poly_rem, _poly_trim, enumerate_vectors,
@@ -305,20 +306,27 @@ class TestVectors:
     def test_enumeration_cardinality_gf9(self):
         assert len(enumerate_vectors(make_field(3, 2), 3)) == 729
 
-    def test_cap(self):
-        with pytest.raises(ValueError):
-            enumerate_vectors(make_field(3), 2, cap=5)
+    def test_cap(self, monkeypatch):
+        # refused by the size check, before any index tuple is produced
+        monkeypatch.setattr(gf, "product", None)
+        with pytest.raises(ValueError,
+                           match=r"^q\^d = 3\^13 exceeds enumeration cap 1000000$"):
+            enumerate_vectors(make_field(3), 13)
 
     def test_space_size(self):
-        assert space_size(3, 2, 9) == 9
-        with pytest.raises(ValueError, match=r"^q\^d = 3\^3 exceeds enumeration cap 26$"):
-            space_size(3, 3, 26)
+        assert gf.CAP == 10**6
+        assert space_size(997, 2) == 994_009
+        assert space_size(3, 12) == 531_441
+        for q, d in ((1009, 2), (3, 13)):
+            with pytest.raises(ValueError,
+                               match=rf"^q\^d = {q}\^{d} exceeds enumeration cap 1000000$"):
+                space_size(q, d)
         # past the cap's bit length the message names q and d, not q^d
         with pytest.raises(ValueError, match=r"^q\^d = 3\^3000000 exceeds"):
-            space_size(3, 3_000_000, 10**6)
+            space_size(3, 3_000_000)
         for d in (0, -1):
             with pytest.raises(ValueError, match="dimension must be >= 1"):
-                space_size(3, d, 10**6)
+                space_size(3, d)
 
     def test_square_class(self):
         # the class is the orbit under coordinate permutations and sign
@@ -332,12 +340,15 @@ class TestVectors:
                 if x.square_class() == (0, 1, 4)} == orbit
 
     def test_within_cap(self):
-        assert within_cap(3, 2, 9) and not within_cap(3, 2, 8)
-        assert not within_cap(3, 3_000_000, 10**6)  # decided before 3**d
+        # 997^2 = 994,009 and 3^12 = 531,441 lie within 10^6;
+        # 1009^2 = 1,018,081 and 3^13 = 1,594,323 do not
+        assert within_cap(997, 2) and within_cap(3, 12)
+        assert not within_cap(1009, 2) and not within_cap(3, 13)
+        assert not within_cap(3, 3_000_000)  # decided before 3**d
         assert list(index_vectors(make_field(3), 2)) == [
             x.idx for x in enumerate_vectors(make_field(3), 2)]
-        with pytest.raises(ValueError, match="exceeds enumeration cap"):
-            index_vectors(make_field(3), 3, cap=26)
+        with pytest.raises(ValueError, match="exceeds enumeration cap 1000000"):
+            index_vectors(make_field(3), 13)
 
 
 @st.composite

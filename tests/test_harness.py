@@ -180,6 +180,7 @@ class TestCli:
     @pytest.mark.parametrize("argv,code", [
         (["sharpness", "--q", "3", "--d", "2", "--k", "1"], 0),
         (["verify-identities", "--q", "12"], 2),
+        (["verify-identities", "--q", "3", "--cap", "5"], 2),
     ])
     def test_python_m_ffdist(self, argv, code, capsys):
         # python -m ffdist runs main once, without the double-import warning
@@ -216,6 +217,22 @@ class TestCli:
         code, _ = run_cli(argv, capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-identities", "--q", "3", "--cap", "5"],
+        ["verify-identities", "--q", "x"],
+        ["sphere-ft", "--q", "3", "--d", "2", "--k", "1", "--t", "1",
+         "--mode", "sideways"],
+        [],
+    ])
+    def test_usage_error_one_line(self, argv, capsys):
+        # argparse's errors are returned as exit 2 with one line, not raised
+        # as SystemExit after a usage block
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code = main(["sharpness", "--q", "3", "--d", "2", "--k", "1",
@@ -250,6 +267,7 @@ class TestOutOfRange:
         ["verify-identities", "--p", "10000000000000061", "--s", "2"],
         ["verify-identities", "--p", "3", "--s", "7"],
         ["verify-identities", "--p", "3", "--s", "40"],
+        ["verify-identities", "--p", "3", "--s", "0"],
     ])
     def test_exit_2_one_line(self, argv, monkeypatch, capsys):
         # a field past the size cap is refused before any primality test
@@ -332,6 +350,22 @@ class TestConfigFile:
         code, out = run_cli(["sharpness", "--config", str(cfg), "--q", "5"], capsys)
         assert code == 0
         assert json.loads(out)["field"]["q"] == 5
+
+    def test_explicit_format_wins(self, tmp_path, capsys):
+        cfg = tmp_path / "f.json"
+        cfg.write_text(json.dumps({"format": "json"}))
+        code, out = run_cli(["verify-identities", "--q", "3", "--format", "csv",
+                             "--config", str(cfg)], capsys)
+        assert code == 0
+        assert out.startswith("q,p,s,d,k,t,size,trial,metric,value")
+
+    def test_abbreviated_flag_wins(self, tmp_path, capsys):
+        cfg = tmp_path / "t.json"
+        cfg.write_text(json.dumps({"trials": 1}))
+        code, out = run_cli(["threshold-sweep", "--q", "3", "--d", "2", "--k", "1",
+                             "--tri", "3", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["trials"] == 3
 
     def test_unknown_field_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
