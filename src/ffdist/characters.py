@@ -30,9 +30,9 @@ class CharacterTable:
     (keyed by square-multiset classes); those live here because their
     lifetime matches the field's, not any individual computation's.
     spectral_cache holds the spectral summary of distance.nu_spectral and
-    distance.bounds: one slot per (d, k), holding the summary of the last
-    energy mapping seen there together with that mapping's exact contents,
-    so it never holds more than one summary per (d, k).
+    distance.bounds: one slot per d, serving every k and t, holding the
+    summary of the last energy mapping seen there together with that
+    mapping's exact contents, so it never holds more than one summary per d.
     """
 
     def __init__(self, field: Field) -> None:

@@ -23,20 +23,24 @@ per-frequency sum, equal as an exact value, for any mapping whose sums per
 class equal those of |Ehat|^2; a per-frequency dict gives the same values,
 only more slowly.
 
-Neither sum is redone for each t either.  The A-part factors as
-A(m, t) = sum_{s != 0} inner_k(m, s) zeta^{Tr(-s t)}, so
-sum_m e_m A(m, t) = sum_s W_k(s) zeta^{Tr(-s t)} with
-W_k(s) = sum_m e_m inner_k(m, s): a 1-D character transform over F_q of a
-weight that does not depend on t, and for t != 0
-nu_E(t) = q^{d-1} (A(t) + B_k).  At t = 0 the k-sphere also holds every x
-with at least k zero coordinates (their k-norm is 0), and the s = 0 subset
-sums of those strata are the b_aux weights, so
-nu_E(0) = q^{d-1} (A(0) + B_k) - q^d b_aux from the same sums.  W_k, B_k
-and the b_main/b_aux/m1/m2/m3 sums are formed once per (energy, d, k), one
-_a_inner, b_term and _m_weights per key, and kept in the table's
-spectral_cache (one slot per (d, k), matched against the mapping's exact
-contents).  The brute and closed sphere_ft and a_term stay as oracles for
-the tests and the sphere-ft command.
+Neither sum is redone for each t or k either.  The A-part factors as
+A(m, t) = sum_{s != 0} inner_k(m, s) zeta^{Tr(-s t)}, and inner_k(m, s)
+expands over coordinate subsets I into c_k(|I|) (eta(s) G_1)^{|I|}
+zeta^{Tr(-u_I / 4s)}, u_I the sum of the squared coordinates over I.  So
+sum_m e_m A(m, t) is read from subset-norm tables
+F_i[u] = sum_m e_m #{I : |I| = i, u_I = u}, formed once per energy, and
+their character transforms over s and t, which depend on neither k nor
+the key; k enters only as the scalar c_k(i).  For t != 0
+nu_E(t) = q^{d-1} (A_k(t) + B_k).  At t = 0 the k-sphere also holds every
+x with at least k zero coordinates (their k-norm is 0), and the s = 0
+subset sums of those strata are the b_aux weights, so
+nu_E(0) = q^{d-1} (A_k(0) + B_k) - q^d b_aux(k) from the same sums.  The
+tables, B_k and b_aux(k) for every k, and the b_main/m1/m2/m3 sums form one
+summary per (energy, d), with one _elementary_symmetric and one _m_weights
+per zero count present, kept in the table's spectral_cache (one slot per
+d, matched against the mapping's exact contents).  The brute and closed
+sphere_ft and a_term stay as oracles for the tests and the sphere-ft
+command.
 
 The direct count and the distance set read the same index loop over
 E x E, which works on element indices and builds no objects per pair.
@@ -45,17 +49,18 @@ E x E, which works on element indices and builds no objects per pair.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Optional
 
 from .characters import CharacterTable, character_table
 from .cyclotomic import Cyclotomic
 from .fourier import PointSet, spectral_energy
 from .gf import Field, FieldElement, Point, enumerate_vectors, point_indices
-from .geometry import SphereSpec, _a_inner, b_term, b_term_alpha_range
+from .geometry import SphereSpec, _elementary_symmetric, _zero_pattern_factors
 
 
 def distance_set(E: PointSet, k: int) -> list[FieldElement]:
@@ -117,18 +122,15 @@ def nu_spectral(E: PointSet, t: FieldElement, k: int,
     """nu_E(t) via q^{2d} sum_m Shat_k^t(m) |Ehat(m)|^2 (exact rational).
 
     energy defaults to spectral_energy(E), |Ehat|^2 summed per square
-    class.  The sum is read from the spectral summary of (energy, d, k):
-    nu_E(t) = q^{d-1} (A(t) + B_k) for t != 0, and
-    nu_E(0) = q^{d-1} (A(0) + B_k - q b_aux).  The sphere S_k^0 is the
+    class.  The sum is read from the spectral summary of (energy, d):
+    nu_E(t) = q^{d-1} (A_k(t) + B_k) for t != 0, and
+    nu_E(0) = q^{d-1} (A_k(0) + B_k - q b_aux(k)).  The sphere S_k^0 is the
     t = 0 sphere equation on the x with Z(x) < k, plus every x with
     Z(x) >= k; the transform of those strata at m is q^{-d} times the s = 0
     subset sums over alpha in [k, d], and their energy-weighted sum over
-    the keys is -b_aux.
+    the keys is -b_aux(k).
     """
-    summary = _spectral_summary(E, t, k, table, energy)
-    q, d = E.field.q, E.d
-    b = summary.b_sum - q * summary.b_aux if t.is_zero else summary.b_sum
-    return ((summary.a_part(t) + b) * q ** (d - 1)).rational_value()
+    return _spectral_summary(E, t, k, table, energy).count(t, k).rational_value()
 
 
 # ---------------------------------------------------------------------------
@@ -206,80 +208,171 @@ def _m_weights(q: int, m: Point) -> tuple[int, int, int]:
     return c1, c2, c3
 
 
-class _SpectralSummary:
-    """The t-independent parts of nu_spectral and bounds for one
-    (energy, d, k).
+def _c_k(d: int, k: int, i: int) -> int:
+    """c_k(i) = sum_{j=max(i, d-k+1)}^{d} (-1)^{j-i} C(d-i, j-i): the weight
+    of a subset of i squared coordinates in inner_k."""
+    return sum((-1) ** (j - i) * math.comb(d - i, j - i)
+               for j in range(max(i, d - k + 1), d + 1))
 
-    W_k(s) = sum_C e_C inner_k(C, s) for s in F_q* (inner_k is the cached
-    _a_inner), kept as int rows over one common denominator; B_k and the
-    b_main/b_aux/m1/m2/m3 sums, as rationals.  Each key of the energy gets
-    one _a_inner, b_term and _m_weights.  The A-part
-    A(t) = sum_C e_C A(C, t) = sum_s W_k(s) zeta^{Tr(-s t)} is a 1-D
-    character transform over F_q, formed once per t on first use.
+
+def _rotated(c: list[int], j: int) -> list[int]:
+    """The coefficients of zeta^j times sum_l c[l] zeta^l, 0 <= j < p."""
+    return c[-j:] + c[:-j]
+
+
+class _SpectralSummary:
+    """The t- and k-independent parts of nu_spectral and bounds for one
+    (energy, d).
+
+    inner_k(C, s), the sum over alpha < k of the subset sums of the factors
+    eta(s) G_1 zeta^{Tr(-c_i^2 / 4s)} - 1, expands (G_1^2 = eta(-1) q) into
+    sum_I c_k(|I|) (eta(s) G_1)^{|I|} zeta^{Tr(-u_I / 4s)}, u_I the sum of
+    the squared coordinates of C over I.  So everything but the scalar
+    c_k(i) is read from the subset-norm tables
+    F_i[u] = G_1^{i mod 2} sum_C e_C #{I : |I| = i, u_I = u}, formed once on
+    ints over one common denominator (multiplying by G_1 commutes with the
+    rotations below, so it is done here, once per entry); the rows
+    R_i(s) = eta(s)^i sum_u F_i[u] zeta^{Tr(-u/4s)} for s in F_q*; and, per t
+    on first use, the transforms T_i(t) = sum_s R_i(s) zeta^{Tr(-s t)}.  Then
+    A_k(t) = sum_C e_C A(C, t) = sum_i c_k(i) (eta(-1) q)^{floor(i/2)} T_i(t).
+
+    B_k, b_aux(k) (for every k), b_main and m1/m2/m3 depend on a key only
+    through its zero count, so they are read from the energy summed per zero
+    count: one _elementary_symmetric and one _m_weights per zero count
+    present.
     """
 
-    def __init__(self, table: CharacterTable, d: int, k: int, contents: tuple) -> None:
+    def __init__(self, table: CharacterTable, d: int, contents: tuple) -> None:
         f = table.field
         p, q = f.p, f.q
-        self.field = f
-        self.contents = contents
-        # adding zero checks the prime and makes every value a Cyclotomic
-        energies = [Cyclotomic.zero(p) + e for _, e in contents]
-        inners = [_a_inner(table, m, k) for m, _ in contents]
+        self.field, self.d, self.contents = f, d, contents
+        g1 = table.gauss_standard().num
+        eta_q = f._quad[f._neg[1]] * q  # G_1^2
+        # the scalar of T_i(t) in A_k(t): c_k(i) (eta(-1) q)^{floor(i/2)}
+        self.scalars = {k: [_c_k(d, k, i) * eta_q ** (i // 2) for i in range(d + 1)]
+                        for k in range(1, d + 1)}
+        zero = Cyclotomic.zero(p)
+        # adding zero checks the prime and makes an int or Fraction a Cyclotomic
+        energies = [e if isinstance(e, Cyclotomic) and e.p == p else zero + e
+                    for _, e in contents]
         # every sum runs on int coefficients over one common denominator
-        e_den = math.lcm(*(e.den for e in energies))
-        w_den = math.lcm(*(v.den for inner in inners for v in inner))
-        self.den = e_den * w_den
-        self.rows = [[0] * p for _ in range(q - 1)]
-        sums = [[0] * p for _ in range(6)]  # b_sum, b_main, b_aux, m1, m2, m3
-        for (m, _), e, inner in zip(contents, energies, inners):
-            num = [(i, c * (e_den // e.den)) for i, c in enumerate(e.num) if c]
-            weights = (b_term(f, m, k), b_term_alpha_range(f, m, 0, d),
-                       -b_term_alpha_range(f, m, k, d), *_m_weights(q, m))
-            for acc, w in zip(sums, weights):
-                for i, c in num:
-                    acc[i] += w * c
-            for row, v in zip(self.rows, inner):
-                scale = w_den // v.den
-                for j, b in enumerate(v.num):
-                    if b:
-                        b *= scale
-                        for i, c in num:
-                            row[(i + j) % p] += b * c
-        scale = Fraction(1, e_den)
-        (self.b_sum, self.b_main, self.b_aux, self.m1, self.m2, self.m3) = (
-            (Cyclotomic(p, acc) * scale).rational_value() for acc in sums)
-        self._a: dict[int, Cyclotomic] = {}
+        den = self.den = math.lcm(*(e.den for e in energies))
+        add, mul = f._add, f._mul
+        tables: list[dict[int, list[int]]] = [{} for _ in range(d + 1)]
+        # zero count -> (a key with it, the energy summed over those keys)
+        by_zeros: dict[int, tuple[Point, list[int]]] = {}
+        for (m, _), e in zip(contents, energies):
+            g = den // e.den
+            num = [c * g for c in e.num]
+            w = m.zero_count()
+            entry = by_zeros.get(w)
+            by_zeros[w] = (m, num) if entry is None else (
+                entry[0], list(map(operator.add, entry[1], num)))
+            # levels[i][u] = #{I : |I| = i, u_I = u}, one coordinate at a time
+            levels: list[dict[int, int]] = [{0: 1}]
+            for x in m.idx:
+                r = mul[x][x]
+                levels.append({})
+                for i in range(len(levels) - 1, 0, -1):
+                    dst = levels[i]
+                    for u, n in levels[i - 1].items():
+                        v = add[u][r]
+                        dst[v] = dst.get(v, 0) + n
+            for table_i, level in zip(tables, levels):
+                for u, n in level.items():
+                    row = table_i.get(u)
+                    table_i[u] = ([n * c for c in num] if row is None
+                                  else [a + n * c for a, c in zip(row, num)])
+        for table_i in tables[1::2]:
+            for u, c in table_i.items():
+                acc = [0] * p
+                for j, g in enumerate(g1):
+                    if g:
+                        acc = [a + g * v for a, v in zip(acc, _rotated(c, j))]
+                table_i[u] = acc
+        trace, neg, inv, quad = f._trace, f._neg, f._inv, f._quad
+        quarters = [neg[inv[mul[4 % p][s]]] for s in range(1, q)]  # -1/4s
+        self.rows = []
+        for i, table_i in enumerate(tables):
+            rows_i = []
+            for s, w in enumerate(quarters, 1):
+                row = [0] * p
+                for u, c in table_i.items():
+                    row = list(map(operator.add, row, _rotated(c, trace[mul[u][w]])))
+                rows_i.append([-c for c in row] if i % 2 and quad[s] < 0 else row)
+            self.rows.append(rows_i)
+        # per zero count: b_main, m1, m2, m3, then B_k and b_aux(k) for each k
+        sums = [[0] * p for _ in range(4 + 2 * d)]
+        for m, acc in by_zeros.values():
+            # strata[alpha] = e_{d - alpha}, the s = 0 subset sum of the
+            # stratum alpha
+            strata = _elementary_symmetric(_zero_pattern_factors(f, m))[::-1]
+            below = list(accumulate(strata))  # below[k - 1]: alpha < k
+            above = list(accumulate(strata[::-1]))[::-1]  # above[k]: alpha >= k
+            weights = (sum(strata), *_m_weights(q, m), *below[:d], *(-a for a in above[1:]))
+            sums = [[a + w * c for a, c in zip(total, acc)]
+                    for total, w in zip(sums, weights)]
+        values = [Cyclotomic._over(p, total, den).rational_value() for total in sums]
+        self.b_main, self.m1, self.m2, self.m3 = values[:4]
+        self.b_sum = dict(enumerate(values[4:4 + d], 1))
+        self.b_aux = dict(enumerate(values[4 + d:], 1))
+        # count's B part over den, by k: (t != 0, t = 0)
+        self._b = {k: (b, [c - q * x for c, x in zip(b, aux)])
+                   for k, b, aux in zip(range(1, d + 1), sums[4:4 + d], sums[4 + d:])}
+        self._t: dict[int, list[list[int]]] = {}
+        self._a: dict[tuple[int, int], Cyclotomic] = {}
 
-    def a_part(self, t: FieldElement) -> Cyclotomic:
-        """A(t): each row W_k(s) rotated by Tr(-s t), summed on ints and
-        divided once; Tr(0) = 0, so A(0) is the unrotated sum."""
-        a = self._a.get(t.index)
-        if a is None:
+    def _transforms(self, ti: int) -> list[list[int]]:
+        """[T_0(t), ..., T_d(t)] for t of index ti: each row R_i(s) rotated
+        by Tr(-s t) and summed; Tr(0) = 0, so T_i(0) is the unrotated sum."""
+        out = self._t.get(ti)
+        if out is None:
             f = self.field
-            p = f.p
-            acc = [0] * p
-            row, trace, neg = f._mul[t.index], f._trace, f._neg
-            for si, w in enumerate(self.rows, 1):
-                j = trace[neg[row[si]]]
-                for i, c in enumerate(w):
-                    if c:
-                        acc[(i + j) % p] += c
-            a = self._a[t.index] = Cyclotomic(p, acc) * Fraction(1, self.den)
+            row, trace, neg = f._mul[ti], f._trace, f._neg
+            shifts = [trace[neg[row[s]]] for s in range(1, f.q)]
+            out = self._t[ti] = []
+            for rows_i in self.rows:
+                acc = [0] * f.p
+                for r, j in zip(rows_i, shifts):
+                    acc = list(map(operator.add, acc, _rotated(r, j)))
+                out.append(acc)
+        return out
+
+    def a_part(self, t: FieldElement, k: int) -> Cyclotomic:
+        """A_k(t) = sum_C e_C A(C, t): the transforms T_i(t), each scaled by
+        c_k(i) (eta(-1) q)^{floor(i/2)}."""
+        key = (k, t.index)
+        a = self._a.get(key)
+        if a is None:
+            acc = [0] * self.field.p
+            for c, ti in zip(self.scalars[k], self._transforms(t.index)):
+                if c:
+                    acc = [a + c * v for a, v in zip(acc, ti)]
+            a = self._a[key] = Cyclotomic._over(self.field.p, acc, self.den)
         return a
+
+    def count(self, t: FieldElement, k: int) -> Cyclotomic:
+        """q^{2d} sum_m Shat_k^t(m) e_m, exact: q^{d-1} (A_k(t) + B_k), less
+        q^d b_aux(k) at t = 0.  nu_E(t) when e is |Ehat|^2."""
+        a = self.a_part(t, k)
+        b = self._b[k][t.is_zero]
+        # A_k(t) is in lowest terms over a divisor of den
+        g, s = self.den // a.den, self.field.q ** (self.d - 1)
+        return Cyclotomic._over(self.field.p, [(g * x + y) * s for x, y in zip(a.num, b)],
+                                self.den)
 
 
 def _spectral_summary(E: PointSet, t: FieldElement, k: int,
                       table: Optional[CharacterTable] = None,
                       energy: Optional[dict[Point, Cyclotomic]] = None, *,
                       nonzero_t: bool = False) -> _SpectralSummary:
-    """The summary of energy at (E.d, k), the one entry of nu_spectral and
-    bounds (nonzero_t refuses t = 0).
+    """The summary of energy at E.d, the one entry of nu_spectral and
+    bounds; it serves every k and t (nonzero_t refuses t = 0).
 
     t and the table must belong to E's field, and so must every key of a
     mapping that is built anew: the memo is keyed by square class, which
     names neither the field nor d.  table.spectral_cache holds one slot per
-    (d, k), reused when it was built from equal contents; Point equality
+    d, reused when it was built from equal contents; Point equality
     implies the same field and d, so a reused slot needs no key check.
     """
     f = E.field
@@ -294,11 +387,11 @@ def _spectral_summary(E: PointSet, t: FieldElement, k: int,
     if energy is None:
         energy = spectral_energy(E)
     contents = tuple(energy.items())
-    summary = table.spectral_cache.get((d, k))
+    summary = table.spectral_cache.get(d)
     if summary is None or summary.contents != contents:
         for m, _ in contents:
             point_indices(f, d, m)
-        summary = table.spectral_cache[(d, k)] = _SpectralSummary(table, d, k, contents)
+        summary = table.spectral_cache[d] = _SpectralSummary(table, d, contents)
     return summary
 
 
@@ -307,8 +400,8 @@ def bounds(E: PointSet, t: FieldElement, k: int,
            energy: Optional[dict[Point, Cyclotomic]] = None) -> BoundReport:
     """Evaluate the A-part bound and the full B-decomposition for (E, t, k).
 
-    energy is read as in nu_spectral: A(t), the B sums and the m1/m2/m3
-    weights all come from the spectral summary of (energy, d, k).
+    energy is read as in nu_spectral: A_k(t), the B sums and the m1/m2/m3
+    weights all come from the spectral summary of (energy, d).
     """
     summary = _spectral_summary(E, t, k, table, energy, nonzero_t=True)
     q, d = E.field.q, E.d
@@ -322,10 +415,10 @@ def bounds(E: PointSet, t: FieldElement, k: int,
     }
     return BoundReport(
         t=t, k=k, size=len(E),
-        a_sum_abs=abs(summary.a_part(t).to_complex()), a_bound=a_bound,
-        b_sum=summary.b_sum,
+        a_sum_abs=abs(summary.a_part(t, k).to_complex()), a_bound=a_bound,
+        b_sum=summary.b_sum[k],
         b_main=summary.b_main,
-        b_aux=summary.b_aux,
+        b_aux=summary.b_aux[k],
         b_m1=summary.m1,
         b_m2=summary.m2,
         b_m3=summary.m3,

@@ -16,11 +16,13 @@ Field.dot, so no Point or FieldElement is built per (x, m) term.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Iterator, Mapping, Union
 
 from .cyclotomic import Cyclotomic
-from .gf import Field, Point, enumerate_vectors, point_indices
+from .gf import Field, Point, enumerate_vectors, point_indices, space_size
 
 Value = Union[Cyclotomic, int, Fraction]
 
@@ -142,30 +144,73 @@ def spectral_energy(E: PointSet) -> dict[Point, Cyclotomic]:
     and bounds multiply are constant on a class, so they need only these
     sums, which depend on neither t nor k and are formed once per E here.
 
-    The unscaled count vector of each frequency (q^d Ehat(m) on integer
-    coefficients) is squared and summed per class on ints, so no value is
-    built per frequency; each class sum is then scaled once by q^{-2d}.
+    The walk visits one frequency per F_p*-line: the nonzero m whose first
+    nonzero coordinate is one of the (q-1)/(p-1) powers g^e, e < (q-1)/(p-1),
+    of the primitive element (a coset representative of F_p* in F_q*; 1 for
+    a prime field).  Its unscaled count vector (q^d Ehat(m) on integer
+    coefficients) is squared on ints.  For a in F_p*, Tr(-x.(a m)) =
+    a Tr(-x.m), so |Ehat(a m)|^2 is that square with its index j moved to
+    a j; and -a m has the class and the square of a m.  Each class sum is
+    scaled once by q^{-2d}.
     """
-    p = E.field.p
-    classes: dict[tuple[int, ...], tuple[Point, list[int]]] = {}
-    for m, c in _indicator_counts(E):  # lexicographic order
-        key = m.square_class()
-        entry = classes.get(key)
-        if entry is None:
-            entry = classes[key] = (m, [0] * p)
-        acc = entry[1]
-        # |sum_j c_j zeta^j|^2 = sum_{i, j} c_i c_j zeta^{i-j}; a negative
-        # index i - j wraps mod p
-        nonzero = [(i, ci) for i, ci in enumerate(c) if ci]
-        for i, ci in nonzero:
-            for j, cj in nonzero:
-                acc[i - j] += ci * cj
-    scale = Fraction(1, E.field.q ** (2 * E.d))
+    f = E.field
+    p, q, d = f.p, f.q, E.d
+    space_size(q, d)
+    add, mul, dot, trace, neg = f._add, f._mul, f.dot, f._trace, f._neg
+    # Tr(-x.m) = Tr((-x).m)
+    pts = [[neg[c] for c in x.idx] for x in E]
+    last = [x[-1] for x in pts]
+    leads = f._exp[:(q - 1) // (p - 1)]
+    # a line representative is a prefix of d-1 coordinates and a last one:
+    # any last coordinate after a prefix that is itself a representative in
+    # F_q^{d-1}, and one of the leads after the zero prefix
+    prefixes = [((0,) * (d - 1), leads)]
+    for lead in range(d - 1):
+        for head in leads:
+            for tail in product(range(q), repeat=d - lead - 2):
+                prefixes.append(((0,) * lead + (head,) + tail, range(q)))
+    # the squares of the line representatives, summed per class
+    lines: dict[tuple[int, ...], list[int]] = {}
+    for prefix, values in prefixes:
+        base = [dot(x, prefix) for x in pts]  # zip stops at the prefix
+        squares = [mul[x][x] for x in prefix]
+        for v in values:
+            times_v = mul[v]
+            c = [0] * p
+            for b, x in zip(base, last):
+                c[trace[add[b][times_v[x]]]] += 1
+            # |sum_j c_j zeta^j|^2 = sum_{i, j} c_i c_j zeta^{i-j}; a
+            # negative index i - j wraps mod p
+            nonzero = [(i, ci) for i, ci in enumerate(c) if ci]
+            sq = [0] * p
+            for i, ci in nonzero:
+                for j, cj in nonzero:
+                    sq[i - j] += ci * cj
+            key = tuple(sorted(squares + [times_v[v]]))
+            acc = lines.get(key)
+            lines[key] = sq if acc is None else list(map(operator.add, acc, sq))
+    # a m has the squares a^2 m_i^2 and the square of m with each index j
+    # moved to a j; -a m has the class and the square of a m (a has index a)
+    acc0 = [0] * p
+    acc0[0] = len(pts) ** 2  # q^d Ehat(0) = |E|
+    classes: dict[tuple[int, ...], list[int]] = {(0,) * d: acc0}
+    for a in range(1, (p + 1) // 2):
+        row, scaled = mul[a * a % p], [a * j % p for j in range(p)]
+        for key, sq in lines.items():
+            acc = classes.setdefault(tuple(sorted([row[r] for r in key])), [0] * p)
+            for j, v in enumerate(sq):
+                acc[scaled[j]] += 2 * v
+    # the first member of a class sorts the smallest square roots of its
+    # squares; classes are keyed by it, in lexicographic order
+    root = [0] * q
+    for x in range(q - 1, 0, -1):
+        root[mul[x][x]] = x
     energy = {}
-    for m, acc in classes.values():
-        e = Cyclotomic(p, acc)
+    for first, acc in sorted((tuple(sorted(root[r] for r in key)), acc)
+                             for key, acc in classes.items()):
+        e = Cyclotomic._over(p, acc, q ** (2 * d))
         if e:
-            energy[m] = e * scale
+            energy[Point(f, first)] = e
     return energy
 
 

@@ -87,15 +87,15 @@ def _zero_pattern_factors(field: Field, m: Point) -> list[int]:
 
 
 def _quadratic_factors(table: CharacterTable, s: FieldElement, m: Point) -> list[Cyclotomic]:
-    # per-coordinate factor eta(s) G_1 chi(-m_i^2 / 4s) - 1 of the s != 0 branch
+    # per-coordinate factor eta(s) G_1 chi(-m_i^2 / 4s) - 1 of the s != 0
+    # branch: eta(s) G_1 rotated by Tr(-m_i^2 / 4s), less 1
     f = table.field
     g1 = table.gauss_standard()
-    eta_s = f.quad_char(s)
-    inv4s = (f.from_int(4) * s).inverse()
-    out = []
-    for c in m.coords:
-        out.append(eta_s * g1 * table.chi(-(c * c) * inv4s) - 1)
-    return out
+    if f.quad_char(s) < 0:
+        g1 = -g1
+    mul, trace = f._mul, f._trace
+    w = f._neg[f._inv[mul[4 % f.p][s.index]]]  # -1/4s
+    return [g1.times_root(trace[mul[w][mul[c][c]]]) - 1 for c in m.idx]
 
 
 def stratum_sum_brute(table: CharacterTable, d: int, alpha: int, s: FieldElement,

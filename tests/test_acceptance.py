@@ -17,7 +17,8 @@ import pytest
 from ffdist.characters import (character_table, gauss_closed_form,
                                gauss_identities, gauss_sum)
 from ffdist.characters import kloosterman
-from ffdist.distance import (alternating_binomial_sum, bounds, distance_set,
+from ffdist.distance import (_SpectralSummary, _m_weights,
+                             alternating_binomial_sum, bounds, distance_set,
                              nu_direct_all, nu_spectral, sharpness_example)
 from ffdist.fourier import PointSet, spectral_energy
 from ffdist.geometry import (SphereSpec, lemma31_sum, sphere_ft,
@@ -280,3 +281,33 @@ def test_criterion_11_determinism(tmp_path):
                 outputs.append(target.read_bytes())
             ok &= outputs[0] == outputs[1]
     report(11, "byte-identical reruns", ok)
+
+
+# prime and extension fields, and the p where sampled sets are thin
+CERTIFICATE_QD = BATTERY_QD + [(9, 2), (25, 2), (27, 2), (31, 2), (41, 2)]
+
+
+def test_criterion_12_square_class_certificate():
+    # The spectral summary is linear in the energy mapping and reads a key
+    # only through its square class, so it suffices that the summary of
+    # {m: 1} is q^{2d} Shat_k^t(m) for one m per class, every k and every
+    # t (t = 0 with its - q^d b_aux term): by Fourier inversion
+    # nu_spectral(E) == nu_direct_all(E) then holds for every E in F_q^d.
+    # c2 = 0 on every class gives b_m2 = 0 for every E.
+    start = time.perf_counter()
+    ok = True
+    for q, d in CERTIFICATE_QD:
+        f = field_for(q)
+        table = character_table(f)
+        reps = {}
+        for m in enumerate_vectors(f, d):
+            reps.setdefault(m.square_class(), m)
+        for m in reps.values():
+            summary = _SpectralSummary(table, d, ((m, 1),))
+            for k in range(1, d + 1):
+                for t in f.elements:
+                    brute = sphere_ft(table, m, SphereSpec(k, t), "brute")
+                    ok &= summary.count(t, k) == brute * q ** (2 * d)
+            ok &= _m_weights(q, m)[1] == 0
+    ok &= elapsed_ok(start, 120)
+    report(12, "square-class certificate", ok)

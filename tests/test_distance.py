@@ -372,9 +372,10 @@ class TestSpectralEnergy:
 
 
 class TestWorkCounts:
-    """Per (E, k), each key of the per-class energy gets one _a_inner,
-    b_term and _m_weights, for the spectral summary that every t shares,
-    t = 0 included; no t costs an a_term or a sphere_ft of either mode."""
+    """Per E, one spectral summary serves every k and t, t = 0 included:
+    one _elementary_symmetric and one _m_weights per zero count present
+    among the keys, and no _a_inner, b_term, a_term or sphere_ft of either
+    mode."""
 
     def test_one_call_per_key(self, monkeypatch):
         f = make_field(5)
@@ -388,26 +389,29 @@ class TestWorkCounts:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapped)
 
-        for name in ("_a_inner", "b_term", "_m_weights"):
+        for name in ("_SpectralSummary", "_elementary_symmetric", "_m_weights"):
             counting(distance, name)
-        for name in ("a_term", "sphere_ft"):
+        for name in ("_a_inner", "b_term", "a_term", "sphere_ft"):
             counting(geometry, name)
-        assert not hasattr(distance, "sphere_ft")
+        for name in ("_a_inner", "b_term", "a_term", "sphere_ft"):
+            assert not hasattr(distance, name)
         nonzero = f.elements[1:]
         for size in (1, 3, 5, 25, 125):
             E = random_subset(f, 3, size, seed=size)
             energy = spectral_energy(E)
-            n = len(energy)
-            assert n <= 10  # the square classes of F_5^3
-            for k in range(1, 4):
-                for ts in ([f.zero, *nonzero], [*nonzero, f.zero]):
-                    table = CharacterTable(f)  # an empty summary memo
-                    calls.clear()
+            assert len(energy) <= 10  # the square classes of F_5^3
+            zeros = len({m.zero_count() for m in energy})
+            for ts in ([f.zero, *nonzero], [*nonzero, f.zero]):
+                table = CharacterTable(f)  # an empty summary memo
+                calls.clear()
+                for k in range(1, 4):
                     for t in ts:
                         nu_spectral(E, t, k, table, energy)
                         if not t.is_zero:
                             bounds(E, t, k, table, energy)
-                    assert calls == {"_a_inner": n, "b_term": n, "_m_weights": n}
+                assert calls == {"_SpectralSummary": 1,
+                                 "_elementary_symmetric": zeros,
+                                 "_m_weights": zeros}
 
 
 def _memo_results(E, k, table, energy):
@@ -418,8 +422,8 @@ def _memo_results(E, k, table, energy):
 
 
 class TestSpectralSummary:
-    """The summary memo on CharacterTable: one slot per (d, k), keyed by the
-    exact contents of the energy mapping."""
+    """The summary memo on CharacterTable: one slot per d, serving every k,
+    keyed by the exact contents of the energy mapping."""
 
     def test_memo_follows_contents(self):
         f = make_field(5)
@@ -440,8 +444,8 @@ class TestSpectralSummary:
             a.update(energy["C"])
             E_of["A"] = sets["C"]
 
-        # k interleaved; the (3, 1) and (3, 2) slots are each reused for a
-        # different mapping, and for A after it is mutated in place
+        # k interleaved; the one d = 3 slot is reused for a different
+        # mapping, and for A after it is mutated in place
         steps = [("A", 1), ("B", 2), ("B", 1), ("A", 2), double, ("A", 2),
                  ("A", 1), ("B", 1), become_c, ("A", 1), ("A", 3)]
         for step in steps:
@@ -455,11 +459,11 @@ class TestSpectralSummary:
             nus, reports = got
             assert nus == [_reference_nu_spectral(E, t, k, table, e) for t in f.elements]
             assert reports == [_reference_bounds(E, t, k, table, e) for t in f.elements[1:]]
-        assert set(table.spectral_cache) == {(3, 1), (3, 2), (3, 3)}
+        assert set(table.spectral_cache) == {3}
 
     @pytest.mark.parametrize("q,d", [(3, 2), (5, 3), (9, 2), (25, 2)])
     def test_a_part_is_the_a_term_sum(self, q, d):
-        # A(t) from the 1-D transform of W_k equals sum_C e_C A(C, t)
+        # A_k(t) from the subset-norm tables equals sum_C e_C A(C, t)
         f = field_for(q)
         table = character_table(f)
         E = random_subset(f, d, 7, seed=q)
@@ -470,7 +474,7 @@ class TestSpectralSummary:
                 want = Cyclotomic.zero(f.p)
                 for m, e in energy.items():
                     want = want + e * a_term(table, m, t, k)
-                assert summary.a_part(t) == want
+                assert summary.a_part(t, k) == want
 
 
 class TestFieldChecks:
