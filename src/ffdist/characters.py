@@ -24,11 +24,9 @@ SQRT_TOL = 1e-6
 
 
 class CharacterTable:
-    """Per-field character data shared by every downstream sum.
+    """Per-field character data shared by every downstream sum: the roots of
+    unity and the standard Gauss sum, plus spectral_cache.
 
-    Also hosts the memo dictionaries for the sphere-transform closed form
-    (keyed by square-multiset classes); those live here because their
-    lifetime matches the field's, not any individual computation's.
     spectral_cache holds the spectral summary of distance.nu_spectral and
     distance.bounds: one slot per d, serving every k and t, holding the
     summary of the last energy mapping seen there together with that
@@ -40,9 +38,6 @@ class CharacterTable:
         p = field.p
         self.roots = tuple(Cyclotomic.root(p, j) for j in range(p))
         self._gauss_standard: Optional[Cyclotomic] = None
-        # caches used by the geometry module
-        self.sphere_cache: dict = {}
-        self.a_inner_cache: dict = {}
         # used by the distance module
         self.spectral_cache: dict = {}
 
@@ -65,7 +60,8 @@ class CharacterTable:
 
 @lru_cache(maxsize=None)
 def character_table(field: Field) -> CharacterTable:
-    """Shared per-field CharacterTable (the caches make sharing worthwhile)."""
+    """Shared per-field CharacterTable (its Gauss sum and spectral summary
+    make sharing worthwhile)."""
     return CharacterTable(field)
 
 

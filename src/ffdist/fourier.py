@@ -19,7 +19,7 @@ import math
 import operator
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .cyclotomic import Cyclotomic
 from .gf import Field, Point, enumerate_vectors, point_indices, space_size
@@ -84,26 +84,22 @@ def dft(field: Field, d: int, f: Mapping[Point, Value]) -> dict[Point, Cyclotomi
     return values
 
 
-def _indicator_counts(E: PointSet) -> Iterator[tuple[Point, list[int]]]:
-    """(m, c) for every m in lexicographic order, c[j] the number of x in E
-    with Tr(-x.m) = j, so that q^d Ehat(m) = sum_j c[j] zeta^j."""
+def dft_indicator(E: PointSet) -> dict[Point, Cyclotomic]:
+    """Ehat(m) = q^{-d} sum over x in E of chi(-x.m)."""
     field = E.field
     p = field.p
+    scale = Fraction(1, field.q**E.d)
     dot, trace, neg = field.dot, field._trace, field._neg
     pts = [x.idx for x in E]
+    values: dict[Point, Cyclotomic] = {}
     for m in enumerate_vectors(field, E.d):
         mi = m.idx
+        # c[j] counts the x in E with Tr(-x.m) = j: q^d Ehat(m) = sum_j c[j] zeta^j
         c = [0] * p
         for x in pts:
             c[trace[neg[dot(x, mi)]]] += 1
-        yield m, c
-
-
-def dft_indicator(E: PointSet) -> dict[Point, Cyclotomic]:
-    """Ehat(m) = q^{-d} sum over x in E of chi(-x.m)."""
-    p = E.field.p
-    scale = Fraction(1, E.field.q**E.d)
-    return {m: Cyclotomic(p, c) * scale for m, c in _indicator_counts(E)}
+        values[m] = Cyclotomic(p, c) * scale
+    return values
 
 
 def inverse_dft(field: Field, d: int,

@@ -5,7 +5,10 @@ coordinates and 0 otherwise; spheres S_k^t are its level sets.  The Fourier
 transform of a sphere indicator is available through two independent routes:
 brute-force summation over the sphere, and the closed form
 q^{-d-1} (A(m,t) + B(m)) assembled from Gauss sums, which is exposed only
-for t != 0 (the derivation discards a term that vanishes only then).
+for t != 0 (the derivation discards a term that vanishes only then).  The
+closed form keeps no memo: each call evaluates m from its own coordinates,
+so checking it against the brute route at every m also checks, rather than
+assumes, that the transform is constant on square classes.
 
 Sums over coordinate subsets I of a fixed size are evaluated as elementary
 symmetric functions of per-coordinate factors, since every factor depends
@@ -136,39 +139,24 @@ def lemma31_sum(table: CharacterTable, d: int, alpha: int, s: FieldElement,
 # the sphere transform: A(m, t) + B(m)
 # ---------------------------------------------------------------------------
 
-def _a_inner(table: CharacterTable, m: Point, k: int) -> list[Cyclotomic]:
-    """For each nonzero s (by index 1..q-1): sum over alpha < k of the
-    subset sums of the quadratic factors.  Cached per square class, on
-    which the transform depends only (it is symmetric under coordinate
-    permutations and sign flips)."""
-    f = table.field
-    d = m.d
-    key = ("a", d, k, m.square_class())
-    cached = table.a_inner_cache.get(key)
-    if cached is not None:
-        return cached
-    out = []
-    for si in range(1, f.q):
-        es = _elementary_symmetric(_quadratic_factors(table, f.elements[si], m))
-        acc = Cyclotomic.zero(f.p)
-        for alpha in range(k):
-            acc = acc + es[d - alpha]
-        out.append(acc)
-    table.a_inner_cache[key] = out
-    return out
-
-
 def a_term(table: CharacterTable, m: Point, t: FieldElement, k: int) -> Cyclotomic:
-    """A(m, t): the oscillatory part of the sphere transform (t != 0 only)."""
+    """A(m, t): the oscillatory part of the sphere transform (t != 0 only).
+
+    Summed over s != 0: the subset sums over alpha < k of m's quadratic
+    factors, rotated by Tr(-s t).  No memo: every call starts from m's own
+    coordinates.
+    """
     if t.is_zero:
         raise ValueError("A(m, t) is defined only for t != 0")
     f = table.field
-    SphereSpec(k, t).validate(m.d)
-    inner = _a_inner(table, m, k)
+    d = m.d
+    SphereSpec(k, t).validate(d)
     acc = Cyclotomic.zero(f.p)
     trace, mul, neg = f._trace, f._mul, f._neg
     for si in range(1, f.q):
-        acc = acc + inner[si - 1].times_root(trace[neg[mul[si][t.index]]])
+        es = _elementary_symmetric(_quadratic_factors(table, f.elements[si], m))
+        inner = sum((es[d - alpha] for alpha in range(k)), Cyclotomic.zero(f.p))
+        acc = acc + inner.times_root(trace[neg[mul[si][t.index]]])
     return acc
 
 
@@ -205,10 +193,5 @@ def sphere_ft(table: CharacterTable, m: Point, spec: SphereSpec,
         raise ValueError(f"mode must be 'closed' or 'brute', got {mode!r}")
     if spec.t.is_zero:
         raise ValueError("the closed form is valid only for t != 0; use mode='brute'")
-    key = ("sft", d, spec.k, spec.t.index, m.square_class())
-    cached = table.sphere_cache.get(key)
-    if cached is None:
-        total = a_term(table, m, spec.t, spec.k) + b_term(f, m, spec.k)
-        cached = total * Fraction(1, f.q ** (d + 1))
-        table.sphere_cache[key] = cached
-    return cached
+    total = a_term(table, m, spec.t, spec.k) + b_term(f, m, spec.k)
+    return total * Fraction(1, f.q ** (d + 1))

@@ -256,8 +256,8 @@ def cmd_sphere_ft(args) -> tuple[dict, list[dict], int]:
     table = character_table(field)
     t = field.element(args.t)
     spec = SphereSpec(args.k, t)
-    if args.mode == "closed" and t.is_zero:
-        raise ValueError("closed mode requires t != 0")
+    if args.mode != "brute" and t.is_zero:
+        raise ValueError(f"--mode {args.mode} requires t != 0; use --mode brute")
     if args.m is not None:
         ms = [Point(field, [int(c) for c in args.m.split(",")])]
         if ms[0].d != args.d:
@@ -267,10 +267,15 @@ def cmd_sphere_ft(args) -> tuple[dict, list[dict], int]:
     records = []
     rows = []
     mismatches = 0
+    # the transform is constant on square classes: one closed value per class
+    closed: dict = {}
     for m in ms:
         rec: dict = {"m": list(m.idx)}
         if args.mode in ("closed", "both"):
-            rec["closed"] = cyclo_strings(sphere_ft(table, m, spec, "closed"))
+            key = m.square_class()
+            if key not in closed:
+                closed[key] = cyclo_strings(sphere_ft(table, m, spec, "closed"))
+            rec["closed"] = closed[key]
         if args.mode in ("brute", "both"):
             rec["brute"] = cyclo_strings(sphere_ft(table, m, spec, "brute"))
         if args.mode == "both":

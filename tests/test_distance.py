@@ -374,8 +374,7 @@ class TestSpectralEnergy:
 class TestWorkCounts:
     """Per E, one spectral summary serves every k and t, t = 0 included:
     one _elementary_symmetric and one _m_weights per zero count present
-    among the keys, and no _a_inner, b_term, a_term or sphere_ft of either
-    mode."""
+    among the keys, and no b_term, a_term or sphere_ft of either mode."""
 
     def test_one_call_per_key(self, monkeypatch):
         f = make_field(5)
@@ -391,9 +390,9 @@ class TestWorkCounts:
 
         for name in ("_SpectralSummary", "_elementary_symmetric", "_m_weights"):
             counting(distance, name)
-        for name in ("_a_inner", "b_term", "a_term", "sphere_ft"):
+        for name in ("b_term", "a_term", "sphere_ft"):
             counting(geometry, name)
-        for name in ("_a_inner", "b_term", "a_term", "sphere_ft"):
+        for name in ("b_term", "a_term", "sphere_ft"):
             assert not hasattr(distance, name)
         nonzero = f.elements[1:]
         for size in (1, 3, 5, 25, 125):

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from ffdist.characters import CharacterTable, character_table
+from ffdist import geometry
+from ffdist.characters import character_table
 from ffdist.cyclotomic import Cyclotomic
 from ffdist.geometry import (SphereSpec, a_term, b_term, k_norm, lemma31_sum,
                              sphere_ft, sphere_points, stratum, stratum_sum_brute)
@@ -229,7 +230,25 @@ class TestSquareClassInvariance:
                         sphere_ft(table, rep, spec, "brute")
                     if t.is_zero:
                         continue
-                    # fresh tables: the closed form's cache is keyed by the
-                    # class, so a shared table would return rep's value
-                    assert sphere_ft(CharacterTable(f), m, spec, "closed") == \
-                        sphere_ft(CharacterTable(f), rep, spec, "closed")
+                    assert sphere_ft(table, m, spec, "closed") == \
+                        sphere_ft(table, rep, spec, "closed")
+
+    def test_each_member_evaluated_from_its_own_coordinates(self, monkeypatch):
+        # on a shared table, a class member gets its own evaluation, not the
+        # value of its class representative
+        f, table = setup_q(5)
+        seen = []
+        quadratic = geometry._quadratic_factors
+
+        def recording(table, s, m):
+            seen.append(m.idx)
+            return quadratic(table, s, m)
+        monkeypatch.setattr(geometry, "_quadratic_factors", recording)
+        spec = SphereSpec(2, f.one)
+        rep, other = Point(f, (1, 2)), Point(f, (4, 3))
+        assert rep.square_class() == other.square_class()
+        value = sphere_ft(table, rep, spec, "closed")
+        assert seen == [rep.idx] * (f.q - 1)
+        seen.clear()
+        assert sphere_ft(table, other, spec, "closed") == value
+        assert seen == [other.idx] * (f.q - 1)

@@ -208,6 +208,7 @@ class TestCli:
         ["sphere-ft", "--q", "3", "--d", "2", "--k", "2"],
         ["sphere-ft", "--q", "3", "--d", "2", "--k", "2", "--t", "0",
          "--mode", "closed"],
+        ["sphere-ft", "--q", "3", "--d", "2", "--k", "2", "--t", "0"],
         ["nu", "--q", "3", "--d", "2", "--k", "3", "--size", "4"],
         ["nu", "--q", "3", "--d", "2", "--k", "1"],
         ["bounds", "--q", "3", "--d", "2", "--k", "1", "--size", "4", "--t", "0"],
@@ -216,6 +217,22 @@ class TestCli:
     def test_invalid_parameters_exit_2(self, argv, capsys):
         code, _ = run_cli(argv, capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("mode", [[], ["--mode", "closed"]])
+    def test_sphere_ft_t_zero_names_brute_mode(self, mode, capsys, monkeypatch):
+        # the closed form needs t != 0: refused before any transform, in one
+        # line that names the mode which works
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sphere_ft called")
+        monkeypatch.setattr(harness, "sphere_ft", unreachable)
+        code = main(["sphere-ft", "--q", "3", "--d", "2", "--k", "2", "--t", "0", *mode])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "--mode brute" in captured.err
+        assert "mode='brute'" not in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["verify-identities", "--q", "3", "--cap", "5"],
