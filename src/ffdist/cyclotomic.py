@@ -15,6 +15,13 @@ arise from arithmetic with rationals.  Ring arithmetic runs on ints.  A
 Fraction appears only at the boundary: a rational value or scalar coming
 in, and the coeffs view, rational_value and comparison with a rational
 going out.  Floats appear only in the explicit complex embedding.
+
+The coefficient arithmetic under zeta^p = 1 is written once, as module
+kernels on int lists that every other module calls: rotated (times
+zeta^j), conjugated (zeta -> zeta^{-1}), convolve (the product, before
+canonical reduction) and common_denominator (Cyclotomic, int or Fraction
+values as int lists over their lcm, each checked to have the prime p).
+Cyclotomic's own ring operations are built on them.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 
 @lru_cache(maxsize=None)
@@ -33,6 +40,59 @@ def check_odd_prime(p: int) -> None:
         raise ValueError(f"expected an odd prime, got {p!r}")
     if any(p % k == 0 for k in range(3, math.isqrt(p) + 1, 2)):
         raise ValueError(f"expected an odd prime, got {p!r}")
+
+
+def rotated(c: Sequence[int], j: int) -> Sequence[int]:
+    """The coefficients of zeta^j times sum_l c[l] zeta^l, for 0 <= j < p: c
+    rotated j places (a list for a list, a tuple for a tuple)."""
+    return c[-j:] + c[:-j]
+
+
+def conjugated(c: Sequence[int]) -> Sequence[int]:
+    """The coefficients of the conjugate, zeta -> zeta^{-1}: c[-i mod p] at i."""
+    return c[:1] + c[:0:-1]
+
+
+def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The coefficients of (sum a_i zeta^i)(sum b_j zeta^j) under zeta^p = 1,
+    not canonically reduced."""
+    p = len(a)
+    # index j - p names the slot of j, so i + j - p needs no wrap test
+    nonzero = [(j - p, bj) for j, bj in enumerate(b) if bj]
+    out = [0] * p
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in nonzero:
+                out[i + j] += ai * bj
+    return out
+
+
+def _coerce(p: int, value) -> "Cyclotomic | None":
+    """value as a Cyclotomic of prime p; None for a type that is not a value."""
+    if isinstance(value, Cyclotomic):
+        if value.p != p:
+            raise ValueError(f"mixed primes {p} and {value.p}")
+        return value
+    if isinstance(value, (int, Fraction)):
+        return Cyclotomic.from_rational(p, value)
+    return None
+
+
+def common_denominator(p: int, values: Iterable) -> tuple[list[list[int]], int]:
+    """(nums, den): each Cyclotomic, int or Fraction value is nums[i] / den,
+    on int coefficients over the lcm of the denominators.
+
+    A Cyclotomic of another prime raises ValueError, any other type
+    TypeError.
+    """
+    vs = []
+    for v in values:
+        c = _coerce(p, v)
+        if c is None:
+            raise TypeError(f"expected a Cyclotomic, int or Fraction, got {type(v).__name__}")
+        vs.append(c)
+    den = math.lcm(*(v.den for v in vs))
+    return [[c * (den // v.den) for c in v.num] for v in vs], den
 
 
 class Cyclotomic:
@@ -95,17 +155,8 @@ class Cyclotomic:
 
     # -- ring operations ---------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Cyclotomic):
-            if other.p != self.p:
-                raise ValueError(f"mixed primes {self.p} and {other.p}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic.from_rational(self.p, other)
-        return None
-
     def _plus(self, other, sign: int):
-        o = self._coerce(other)
+        o = _coerce(self.p, other)
         if o is None:
             return NotImplemented
         # over the lcm of the denominators: equal ones need no rescaling
@@ -131,23 +182,10 @@ class Cyclotomic:
         if isinstance(other, (int, Fraction)):
             return Cyclotomic._over(self.p, [c * other.numerator for c in self.num],
                                     self.den * other.denominator)
-        if not isinstance(other, Cyclotomic):
+        o = _coerce(self.p, other)
+        if o is None:
             return NotImplemented
-        if other.p != self.p:
-            raise ValueError(f"mixed primes {self.p} and {other.p}")
-        p = self.p
-        a, b = self.num, other.num
-        conv = [0] * p
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    k = i + j
-                    if k >= p:
-                        k -= p
-                    conv[k] += ai * bj
-        return Cyclotomic._over(p, conv, self.den * other.den)
+        return Cyclotomic._over(self.p, convolve(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -164,19 +202,12 @@ class Cyclotomic:
         return out
 
     def times_root(self, j: int) -> "Cyclotomic":
-        """Fast multiplication by zeta^j (a cyclic rotation of coefficients)."""
-        p = self.p
-        j %= p
-        if j == 0:
-            return self
-        c = self.num
-        return Cyclotomic._over(p, [c[(i - j) % p] for i in range(p)], self.den)
+        """Multiplication by zeta^j, a rotation of the coefficients."""
+        return Cyclotomic._over(self.p, rotated(self.num, j % self.p), self.den)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugate, i.e. zeta |-> zeta^{-1}."""
-        p = self.p
-        c = self.num
-        return Cyclotomic._over(p, [c[(-i) % p] for i in range(p)], self.den)
+        return Cyclotomic._over(self.p, conjugated(self.num), self.den)
 
     # -- queries -----------------------------------------------------------
 

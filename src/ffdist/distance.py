@@ -57,10 +57,10 @@ from itertools import accumulate, combinations
 from typing import Optional
 
 from .characters import CharacterTable, character_table
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, common_denominator, convolve, rotated
 from .fourier import PointSet, spectral_energy
 from .gf import Field, FieldElement, Point, enumerate_vectors, point_indices
-from .geometry import SphereSpec, _elementary_symmetric, _zero_pattern_factors
+from .geometry import _elementary_symmetric, _zero_pattern_factors, check_k
 
 
 def distance_set(E: PointSet, k: int) -> list[FieldElement]:
@@ -78,8 +78,7 @@ def _k_norm_rows(E: PointSet, k: int):
     field's tables and builds no Point or FieldElement per pair.
     """
     f = E.field
-    if not 1 <= k <= E.d:
-        raise ValueError(f"k must lie in [1, {E.d}], got {k}")
+    check_k(k, E.d)
     add, mul, neg = f._add, f._mul, f._neg
     pts = [x.idx for x in E]
     negs = [[neg[b] for b in y] for y in pts]
@@ -215,11 +214,6 @@ def _c_k(d: int, k: int, i: int) -> int:
                for j in range(max(i, d - k + 1), d + 1))
 
 
-def _rotated(c: list[int], j: int) -> list[int]:
-    """The coefficients of zeta^j times sum_l c[l] zeta^l, 0 <= j < p."""
-    return c[-j:] + c[:-j]
-
-
 class _SpectralSummary:
     """The t- and k-independent parts of nu_spectral and bounds for one
     (energy, d).
@@ -230,8 +224,8 @@ class _SpectralSummary:
     the squared coordinates of C over I.  So everything but the scalar
     c_k(i) is read from the subset-norm tables
     F_i[u] = G_1^{i mod 2} sum_C e_C #{I : |I| = i, u_I = u}, formed once on
-    ints over one common denominator (multiplying by G_1 commutes with the
-    rotations below, so it is done here, once per entry); the rows
+    ints over one common denominator (G_1 commutes with the rotations below,
+    so it multiplies the finished tables); the rows
     R_i(s) = eta(s)^i sum_u F_i[u] zeta^{Tr(-u/4s)} for s in F_q*; and, per t
     on first use, the transforms T_i(t) = sum_s R_i(s) zeta^{Tr(-s t)}.  Then
     A_k(t) = sum_C e_C A(C, t) = sum_i c_k(i) (eta(-1) q)^{floor(i/2)} T_i(t).
@@ -251,19 +245,13 @@ class _SpectralSummary:
         # the scalar of T_i(t) in A_k(t): c_k(i) (eta(-1) q)^{floor(i/2)}
         self.scalars = {k: [_c_k(d, k, i) * eta_q ** (i // 2) for i in range(d + 1)]
                         for k in range(1, d + 1)}
-        zero = Cyclotomic.zero(p)
-        # adding zero checks the prime and makes an int or Fraction a Cyclotomic
-        energies = [e if isinstance(e, Cyclotomic) and e.p == p else zero + e
-                    for _, e in contents]
         # every sum runs on int coefficients over one common denominator
-        den = self.den = math.lcm(*(e.den for e in energies))
+        nums, self.den = common_denominator(p, (e for _, e in contents))
         add, mul = f._add, f._mul
         tables: list[dict[int, list[int]]] = [{} for _ in range(d + 1)]
         # zero count -> (a key with it, the energy summed over those keys)
         by_zeros: dict[int, tuple[Point, list[int]]] = {}
-        for (m, _), e in zip(contents, energies):
-            g = den // e.den
-            num = [c * g for c in e.num]
+        for (m, _), num in zip(contents, nums):
             w = m.zero_count()
             entry = by_zeros.get(w)
             by_zeros[w] = (m, num) if entry is None else (
@@ -285,11 +273,7 @@ class _SpectralSummary:
                                   else [a + n * c for a, c in zip(row, num)])
         for table_i in tables[1::2]:
             for u, c in table_i.items():
-                acc = [0] * p
-                for j, g in enumerate(g1):
-                    if g:
-                        acc = [a + g * v for a, v in zip(acc, _rotated(c, j))]
-                table_i[u] = acc
+                table_i[u] = convolve(c, g1)
         trace, neg, inv, quad = f._trace, f._neg, f._inv, f._quad
         quarters = [neg[inv[mul[4 % p][s]]] for s in range(1, q)]  # -1/4s
         self.rows = []
@@ -298,7 +282,7 @@ class _SpectralSummary:
             for s, w in enumerate(quarters, 1):
                 row = [0] * p
                 for u, c in table_i.items():
-                    row = list(map(operator.add, row, _rotated(c, trace[mul[u][w]])))
+                    row = list(map(operator.add, row, rotated(c, trace[mul[u][w]])))
                 rows_i.append([-c for c in row] if i % 2 and quad[s] < 0 else row)
             self.rows.append(rows_i)
         # per zero count: b_main, m1, m2, m3, then B_k and b_aux(k) for each k
@@ -312,7 +296,7 @@ class _SpectralSummary:
             weights = (sum(strata), *_m_weights(q, m), *below[:d], *(-a for a in above[1:]))
             sums = [[a + w * c for a, c in zip(total, acc)]
                     for total, w in zip(sums, weights)]
-        values = [Cyclotomic._over(p, total, den).rational_value() for total in sums]
+        values = [Cyclotomic._over(p, total, self.den).rational_value() for total in sums]
         self.b_main, self.m1, self.m2, self.m3 = values[:4]
         self.b_sum = dict(enumerate(values[4:4 + d], 1))
         self.b_aux = dict(enumerate(values[4 + d:], 1))
@@ -334,7 +318,7 @@ class _SpectralSummary:
             for rows_i in self.rows:
                 acc = [0] * f.p
                 for r, j in zip(rows_i, shifts):
-                    acc = list(map(operator.add, acc, _rotated(r, j)))
+                    acc = list(map(operator.add, acc, rotated(r, j)))
                 out.append(acc)
         return out
 
@@ -383,7 +367,7 @@ def _spectral_summary(E: PointSet, t: FieldElement, k: int,
     if nonzero_t and t.is_zero:
         raise ValueError("bounds are defined for t != 0")
     d = E.d
-    SphereSpec(k, t).validate(d)
+    check_k(k, d)
     if energy is None:
         energy = spectral_energy(E)
     contents = tuple(energy.items())
@@ -428,8 +412,7 @@ def bounds(E: PointSet, t: FieldElement, k: int,
 
 def sharpness_example(field: Field, d: int, k: int) -> PointSet:
     """E = F_q^{d-k} x {0}^k: a set of size q^{d-k} with D_k(E) = {0}."""
-    if not 1 <= k <= d:
-        raise ValueError(f"k must lie in [1, {d}], got {k}")
+    check_k(k, d)
     if k == d:
         pts = [Point(field, (0,) * d)]
     else:

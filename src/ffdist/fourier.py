@@ -4,9 +4,11 @@ fhat(m) = q^{-d} sum_x f(x) chi(-x.m), evaluated directly over the support
 for every m.  The character factors over the coordinates,
 chi(-x.m) = prod_i chi(-x_i m_i), so a coordinate-at-a-time transform in
 O(d q^{d+1}) products (the radix-q structure an FFT uses) exists; it is not
-implemented here.  dft is the general route over any exact values;
-dft_indicator takes a fast path that only histograms trace residues over
-the support, and the tests check the two against each other.
+implemented here.  dft and inverse_dft are two calls of one loop that
+carries the values on int coefficients over their common denominator and
+differ only in the sign of the exponent and the scale.  dft_indicator
+keeps its own loop, which only histograms trace residues over the support:
+it is the oracle that spectral_energy and dft are checked against.
 
 Transforms are plain dicts keyed by Point.  The keys of an input mapping
 are checked once; the loops then run on index tuples and reach x.m through
@@ -15,13 +17,12 @@ Field.dot, so no Point or FieldElement is built per (x, m) term.
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Union
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, common_denominator, conjugated, convolve, rotated
 from .gf import Field, Point, enumerate_vectors, point_indices, space_size
 
 Value = Union[Cyclotomic, int, Fraction]
@@ -50,9 +51,6 @@ class PointSet:
     def __contains__(self, pt: Point) -> bool:
         return isinstance(pt, Point) and pt.idx in self._index_set
 
-    def indicator(self, pt: Point) -> int:
-        return 1 if pt in self else 0
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointSet):
             return NotImplemented
@@ -66,22 +64,36 @@ class PointSet:
         return f"PointSet(q={self.field.q}, d={self.d}, size={len(self)})"
 
 
-def dft(field: Field, d: int, f: Mapping[Point, Value]) -> dict[Point, Cyclotomic]:
-    """Transform of a function given by its support (absent points are 0)."""
+def _transform(field: Field, d: int, f: Mapping[Point, Value], sign: int,
+               scale: int) -> dict[Point, Cyclotomic]:
+    """y -> sum_x f(x) zeta^{sign Tr(x.y)} / scale at every y of F_q^d, for
+    sign = +-1; absent points are 0.
+
+    The values are carried on int coefficients over their common
+    denominator, so each term is one rotate-and-add and each sum is divided
+    once.
+    """
     domain = enumerate_vectors(field, d)
     p = field.p
-    scale = Fraction(1, field.q**d)
-    support = [(point_indices(field, d, x),
-                v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(p, v))
-               for x, v in f.items() if v]
-    dot, trace, neg = field.dot, field._trace, field._neg
-    values: dict[Point, Cyclotomic] = {}
-    for m in domain:
-        acc = Cyclotomic.zero(p)
-        for x, v in support:
-            acc = acc + v.times_root(trace[neg[dot(x, m.idx)]])
-        values[m] = acc * scale
-    return values
+    keys = [point_indices(field, d, x) for x in f]
+    nums, den = common_denominator(p, f.values())
+    support = [(x, c) for x, c in zip(keys, nums) if any(c)]
+    dot = field.dot
+    # Tr is additive, so Tr(-a) = -Tr(a) mod p
+    power = [sign * j % p for j in field._trace]
+    out: dict[Point, Cyclotomic] = {}
+    for y in domain:
+        acc = [0] * p
+        for x, c in support:
+            acc = list(map(operator.add, acc, rotated(c, power[dot(x, y.idx)])))
+        out[y] = Cyclotomic._over(p, acc, den * scale)
+    return out
+
+
+def dft(field: Field, d: int, f: Mapping[Point, Value]) -> dict[Point, Cyclotomic]:
+    """fhat(m) = q^{-d} sum_x f(x) chi(-x.m), of a function given by its
+    support (absent points are 0)."""
+    return _transform(field, d, f, -1, field.q**d)
 
 
 def dft_indicator(E: PointSet) -> dict[Point, Cyclotomic]:
@@ -103,31 +115,10 @@ def dft_indicator(E: PointSet) -> dict[Point, Cyclotomic]:
 
 
 def inverse_dft(field: Field, d: int,
-                fhat: Mapping[Point, Cyclotomic]) -> dict[Point, Cyclotomic]:
+                fhat: Mapping[Point, Value]) -> dict[Point, Cyclotomic]:
     """f(x) = sum_m chi(m.x) fhat(m); exact inverse of dft (absent
     frequencies are 0)."""
-    domain = enumerate_vectors(field, d)
-    p = field.p
-    dot, trace = field.dot, field._trace
-    # every value is carried over the lcm of the denominators, so the sums
-    # run on ints and each f(x) is divided once
-    den = math.lcm(*(v.den for v in fhat.values()))
-    items = [(point_indices(field, d, m), [c * (den // v.den) for c in v.num])
-             for m, v in fhat.items() if v]
-    scale = Fraction(1, den)
-    out: dict[Point, Cyclotomic] = {}
-    for x in domain:
-        acc = [0] * p
-        for m, c in items:
-            j = trace[dot(m, x.idx)]
-            for i, ci in enumerate(c):
-                if ci:
-                    k = i + j
-                    if k >= p:
-                        k -= p
-                    acc[k] += ci
-        out[x] = Cyclotomic(p, acc) * scale
-    return out
+    return _transform(field, d, fhat, 1, 1)
 
 
 def spectral_energy(E: PointSet) -> dict[Point, Cyclotomic]:
@@ -175,13 +166,8 @@ def spectral_energy(E: PointSet) -> dict[Point, Cyclotomic]:
             c = [0] * p
             for b, x in zip(base, last):
                 c[trace[add[b][times_v[x]]]] += 1
-            # |sum_j c_j zeta^j|^2 = sum_{i, j} c_i c_j zeta^{i-j}; a
-            # negative index i - j wraps mod p
-            nonzero = [(i, ci) for i, ci in enumerate(c) if ci]
-            sq = [0] * p
-            for i, ci in nonzero:
-                for j, cj in nonzero:
-                    sq[i - j] += ci * cj
+            # |sum_j c_j zeta^j|^2, the count vector times its conjugate
+            sq = convolve(c, conjugated(c))
             key = tuple(sorted(squares + [times_v[v]]))
             acc = lines.get(key)
             lines[key] = sq if acc is None else list(map(operator.add, acc, sq))

@@ -33,6 +33,12 @@ from .fourier import PointSet
 from .gf import Field, FieldElement, Point, enumerate_vectors, point_indices
 
 
+def check_k(k: int, d: int) -> None:
+    """Raise ValueError unless 1 <= k <= d."""
+    if not 1 <= k <= d:
+        raise ValueError(f"k must lie in [1, {d}], got {k}")
+
+
 @dataclass(frozen=True)
 class SphereSpec:
     """A sphere {x : ||x||_k = t}."""
@@ -40,15 +46,10 @@ class SphereSpec:
     k: int
     t: FieldElement
 
-    def validate(self, d: int) -> None:
-        if not 1 <= self.k <= d:
-            raise ValueError(f"k must lie in [1, {d}], got {self.k}")
-
 
 def k_norm(x: Point, k: int) -> FieldElement:
     """||x||_k: the sum of squares if Z(x) <= k-1, else 0."""
-    if not 1 <= k <= x.d:
-        raise ValueError(f"k must lie in [1, {x.d}], got {k}")
+    check_k(k, x.d)
     if x.zero_count() <= k - 1:
         return x.norm()
     return x.field.zero
@@ -65,7 +66,7 @@ def stratum(field: Field, d: int, alpha: int) -> PointSet:
 
 @lru_cache(maxsize=None)
 def sphere_points(field: Field, d: int, k: int, t: FieldElement) -> PointSet:
-    SphereSpec(k, t).validate(d)
+    check_k(k, d)
     pts = [x for x in enumerate_vectors(field, d) if k_norm(x, k) == t]
     return PointSet(field, d, pts)
 
@@ -110,7 +111,7 @@ def stratum_sum_brute(table: CharacterTable, d: int, alpha: int, s: FieldElement
     row, dot, add, neg, trace = f._mul[s.index], f.dot, f._add, f._neg, f._trace
     counts = Counter(trace[add[row[dot(x.idx, x.idx)]][neg[dot(mi, x.idx)]]]
                      for x in stratum(f, d, alpha))
-    return table.chi_sum(counts)
+    return Cyclotomic.from_counts(f.p, counts)
 
 
 def lemma31_sum(table: CharacterTable, d: int, alpha: int, s: FieldElement,
@@ -150,7 +151,7 @@ def a_term(table: CharacterTable, m: Point, t: FieldElement, k: int) -> Cyclotom
         raise ValueError("A(m, t) is defined only for t != 0")
     f = table.field
     d = m.d
-    SphereSpec(k, t).validate(d)
+    check_k(k, d)
     acc = Cyclotomic.zero(f.p)
     trace, mul, neg = f._trace, f._mul, f._neg
     for si in range(1, f.q):
@@ -169,7 +170,7 @@ def b_term_alpha_range(field: Field, m: Point, alpha_lo: int, alpha_hi: int) -> 
 
 def b_term(field: Field, m: Point, k: int) -> int:
     """B(m): the combinatorial part of the sphere transform (an integer)."""
-    SphereSpec(k, field.one).validate(m.d)
+    check_k(k, m.d)
     return b_term_alpha_range(field, m, 0, k - 1)
 
 
@@ -182,13 +183,13 @@ def sphere_ft(table: CharacterTable, m: Point, spec: SphereSpec,
     """
     f = table.field
     d = m.d
-    spec.validate(d)
+    check_k(spec.k, d)
     if mode == "brute":
         mi = point_indices(f, d, m)
         dot, trace, neg = f.dot, f._trace, f._neg
         pts = sphere_points(f, d, spec.k, spec.t)
         counts = Counter(trace[neg[dot(x.idx, mi)]] for x in pts)
-        return table.chi_sum(counts) * Fraction(1, f.q**d)
+        return Cyclotomic.from_counts(f.p, counts) * Fraction(1, f.q**d)
     if mode != "closed":
         raise ValueError(f"mode must be 'closed' or 'brute', got {mode!r}")
     if spec.t.is_zero:

@@ -420,10 +420,6 @@ class Point:
     def d(self) -> int:
         return len(self.idx)
 
-    @property
-    def coords(self) -> tuple[FieldElement, ...]:
-        return tuple(self.field.elements[i] for i in self.idx)
-
     def _check(self, other: "Point") -> None:
         if not isinstance(other, Point):
             raise TypeError("expected a Point")

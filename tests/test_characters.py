@@ -47,12 +47,6 @@ class TestCharacterTable:
         t = table_for(9)
         assert any(t.chi(c) != 1 for c in t.field.elements)
 
-    def test_chi_b_scaling(self):
-        t = table_for(5)
-        f = t.field
-        b, c = f.element(2), f.element(3)
-        assert t.chi_b(b, c) == t.chi(f.element(1))  # 2*3 = 6 = 1 mod 5
-
 
 class TestGaussSums:
     def test_q3_standard(self):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffdist.cyclotomic import Cyclotomic
+from ffdist.cyclotomic import (Cyclotomic, common_denominator, conjugated, convolve,
+                               rotated)
 
 
 def cyclo(p):
@@ -93,6 +94,73 @@ class TestArithmetic:
         g = Cyclotomic(3, (0, 1, -1))
         assert g**2 == -3
         assert g**0 == 1
+
+
+def coefficient_lists(p):
+    # the zero list, a few nonzero slots, or every slot drawn
+    small = st.integers(min_value=-9, max_value=9)
+    sparse = st.dictionaries(st.integers(0, p - 1), small, max_size=3).map(
+        lambda slots: [slots.get(i, 0) for i in range(p)])
+    dense = st.lists(small, min_size=p, max_size=p)
+    return st.one_of(st.just([0] * p), sparse, dense)
+
+
+def rotated_reference(c, j):
+    # zeta^j times c, slot by slot: slot i takes c[i - j mod p]
+    p = len(c)
+    return [c[(i - j) % p] for i in range(p)]
+
+
+def convolve_reference(a, b):
+    # the product as a double loop over every slot pair, with an explicit wrap
+    p = len(a)
+    conv = [0] * p
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, bj in enumerate(b):
+            if bj:
+                k = i + j
+                if k >= p:
+                    k -= p
+                conv[k] += ai * bj
+    return conv
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 41])
+class TestKernels:
+    """The module kernels equal plain slot-by-slot reference loops."""
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_rotated_and_conjugated(self, p, data):
+        c = data.draw(coefficient_lists(p))
+        for j in (0, 1, p - 1):
+            assert rotated(c, j) == rotated_reference(c, j)
+            assert rotated(tuple(c), j) == tuple(rotated_reference(c, j))
+        assert conjugated(c) == [c[-i % p] for i in range(p)]
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_convolve(self, p, data):
+        a = data.draw(coefficient_lists(p))
+        b = data.draw(coefficient_lists(p))
+        assert convolve(a, b) == convolve_reference(a, b)
+        assert convolve(a, conjugated(a)) == convolve_reference(a, conjugated(a))
+
+    def test_common_denominator(self, p):
+        root = Cyclotomic.root(p, 1) * Fraction(1, 6)
+        values = [root, 2, Fraction(3, 4), Cyclotomic.zero(p)]
+        nums, den = common_denominator(p, values)
+        assert den == 12
+        assert all(type(c) is int for num in nums for c in num)
+        assert [Cyclotomic(p, num) * Fraction(1, den) for num in nums] == values
+        assert common_denominator(p, []) == ([], 1)
+        other = 3 if p != 3 else 5
+        with pytest.raises(ValueError, match=f"mixed primes {p} and {other}"):
+            common_denominator(p, [1, Cyclotomic.one(other)])
+        with pytest.raises(TypeError):
+            common_denominator(p, [0.5])
 
 
 class TestComplexEmbedding:

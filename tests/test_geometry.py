@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from ffdist import geometry
+from ffdist import distance, geometry
 from ffdist.characters import character_table
 from ffdist.cyclotomic import Cyclotomic
+from ffdist.fourier import PointSet
 from ffdist.geometry import (SphereSpec, a_term, b_term, k_norm, lemma31_sum,
                              sphere_ft, sphere_points, stratum, stratum_sum_brute)
 from ffdist.gf import (Point, enumerate_vectors, factor_prime_power,
@@ -41,6 +42,27 @@ class TestKNorm:
             k_norm(Point(f, (1, 2)), 3)
         with pytest.raises(ValueError):
             k_norm(Point(f, (1, 2)), 0)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_one_k_range_message(self, k):
+        # every entry that takes k refuses it with the same message at d = 2
+        f, table = setup_q(3)
+        m = Point(f, (1, 2))
+        E = PointSet(f, 2, [m])
+        calls = [
+            lambda: k_norm(m, k),
+            lambda: b_term(f, m, k),
+            lambda: a_term(table, m, f.one, k),
+            lambda: sphere_points(f, 2, k, f.one),
+            lambda: sphere_ft(table, m, SphereSpec(k, f.one), "brute"),
+            lambda: distance.distance_set(E, k),
+            lambda: distance.nu_spectral(E, f.one, k),
+            lambda: distance.sharpness_example(f, 2, k),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"k must lie in [1, 2], got {k}"
 
 
 class TestStrataAndSlices:
