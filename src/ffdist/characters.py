@@ -24,8 +24,8 @@ SQRT_TOL = 1e-6
 
 
 class CharacterTable:
-    """Per-field character data shared by every downstream sum: the roots of
-    unity and the standard Gauss sum, plus spectral_cache.
+    """Per-field character data shared by every downstream sum: the standard
+    Gauss sum, plus spectral_cache.
 
     spectral_cache holds the spectral summary of distance.nu_spectral and
     distance.bounds: one slot per d, serving every k and t, holding the
@@ -35,15 +35,13 @@ class CharacterTable:
 
     def __init__(self, field: Field) -> None:
         self.field = field
-        p = field.p
-        self.roots = tuple(Cyclotomic.root(p, j) for j in range(p))
         self._gauss_standard: Optional[Cyclotomic] = None
         # used by the distance module
         self.spectral_cache: dict = {}
 
     def chi(self, a: FieldElement) -> Cyclotomic:
         """chi_1(a) = zeta_p^{Tr(a)}."""
-        return self.roots[self.field._trace[a.index]]
+        return Cyclotomic.root(self.field.p, self.field._trace[a.index])
 
     def gauss_standard(self) -> Cyclotomic:
         if self._gauss_standard is None:

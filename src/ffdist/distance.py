@@ -353,11 +353,12 @@ def _spectral_summary(E: PointSet, t: FieldElement, k: int,
     """The summary of energy at E.d, the one entry of nu_spectral and
     bounds; it serves every k and t (nonzero_t refuses t = 0).
 
-    t and the table must belong to E's field, and so must every key of a
-    mapping that is built anew: the memo is keyed by square class, which
-    names neither the field nor d.  table.spectral_cache holds one slot per
-    d, reused when it was built from equal contents; Point equality
-    implies the same field and d, so a reused slot needs no key check.
+    t and the table must belong to E's field, and every key of a mapping
+    that is built anew to GF(q)^d: the summary reads each key's coordinates
+    through this field's tables, so a key of another field or d would be
+    misread, not refused.  table.spectral_cache holds one slot per d,
+    reused when it was built from equal contents; Point equality implies
+    the same field and d, so a reused slot needs no key check.
     """
     f = E.field
     if table is None:

@@ -147,10 +147,12 @@ def a_term(table: CharacterTable, m: Point, t: FieldElement, k: int) -> Cyclotom
     factors, rotated by Tr(-s t).  No memo: every call starts from m's own
     coordinates.
     """
-    if t.is_zero:
-        raise ValueError("A(m, t) is defined only for t != 0")
     f = table.field
     d = m.d
+    point_indices(f, d, m)
+    _check_field(table, t)
+    if t.is_zero:
+        raise ValueError("A(m, t) is defined only for t != 0")
     check_k(k, d)
     acc = Cyclotomic.zero(f.p)
     trace, mul, neg = f._trace, f._mul, f._neg
@@ -171,6 +173,7 @@ def b_term_alpha_range(field: Field, m: Point, alpha_lo: int, alpha_hi: int) -> 
 def b_term(field: Field, m: Point, k: int) -> int:
     """B(m): the combinatorial part of the sphere transform (an integer)."""
     check_k(k, m.d)
+    point_indices(field, m.d, m)
     return b_term_alpha_range(field, m, 0, k - 1)
 
 
@@ -184,8 +187,9 @@ def sphere_ft(table: CharacterTable, m: Point, spec: SphereSpec,
     f = table.field
     d = m.d
     check_k(spec.k, d)
+    mi = point_indices(f, d, m)
+    _check_field(table, spec.t)
     if mode == "brute":
-        mi = point_indices(f, d, m)
         dot, trace, neg = f.dot, f._trace, f._neg
         pts = sphere_points(f, d, spec.k, spec.t)
         counts = Counter(trace[neg[dot(x.idx, mi)]] for x in pts)

@@ -16,8 +16,7 @@ themselves and reach x.m through Field.dot, which builds no object per term.
 
 The defining modulus is chosen deterministically (smallest monic irreducible
 polynomial of degree s in base-p coefficient order) so that GF(9), GF(25),
-GF(27), ... are identical across runs and platforms.  A user-supplied
-modulus overrides the scan and is validated for irreducibility.
+GF(27), ... are identical across runs and platforms.
 """
 
 from __future__ import annotations
@@ -36,6 +35,15 @@ _MAX_Q = 2048  # table-based arithmetic; larger fields are out of scope
 # ---------------------------------------------------------------------------
 # dense polynomials over GF(p), coefficient lists in ascending degree
 # ---------------------------------------------------------------------------
+
+def _digits(n: int, p: int, s: int) -> list[int]:
+    """The s base-p digits of n, least significant first."""
+    out = []
+    for _ in range(s):
+        n, r = divmod(n, p)
+        out.append(r)
+    return out
+
 
 def _poly_trim(f: list[int]) -> list[int]:
     while f and f[-1] == 0:
@@ -68,16 +76,6 @@ def _poly_rem(f: Sequence[int], g: Sequence[int], p: int) -> list[int]:
     return f
 
 
-def _poly_gcd(f: Sequence[int], g: Sequence[int], p: int) -> list[int]:
-    a, b = list(f), list(g)
-    while b:
-        a, b = b, _poly_rem(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
 def _poly_powmod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int]:
     out = [1]
     b = _poly_rem(base, mod, p)
@@ -90,22 +88,12 @@ def _poly_powmod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> lis
 
 
 def poly_is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Irreducibility over GF(p) via gcd(X^{p^e} - X, f) for e <= deg(f)/2."""
+    """Irreducibility over GF(p) by trial division: f has degree >= 1 and no
+    monic divisor of degree 1 to deg(f)/2 (cheap for every field in scope)."""
     f = _poly_trim(list(f))
     s = len(f) - 1
-    if s < 1:
-        return False
-    if s == 1:
-        return True
-    x = [0, 1]
-    t = list(x)
-    for _ in range(s // 2):
-        t = _poly_powmod(t, p, f, p)
-        diff = _poly_trim([(a - b) % p for a, b in
-                           zip(t + [0] * len(x), x + [0] * len(t))])
-        if len(_poly_gcd(diff, f, p)) != 1:
-            return False
-    return True
+    return s >= 1 and all(_poly_rem(f, _digits(n, p, e) + [1], p)
+                          for e in range(1, s // 2 + 1) for n in range(p**e))
 
 
 def smallest_irreducible(p: int, s: int) -> tuple[int, ...]:
@@ -114,15 +102,8 @@ def smallest_irreducible(p: int, s: int) -> tuple[int, ...]:
     Candidates are scanned by increasing base-p value of the non-leading
     coefficients (constant coefficient least significant).
     """
-    if s == 1:
-        return (0, 1)
     for n in range(p**s):
-        coeffs = []
-        v = n
-        for _ in range(s):
-            v, r = divmod(v, p)
-            coeffs.append(r)
-        cand = coeffs + [1]
+        cand = _digits(n, p, s) + [1]
         if poly_is_irreducible(cand, p):
             return tuple(cand)
     raise RuntimeError(f"no irreducible polynomial of degree {s} over GF({p})")
@@ -215,7 +196,7 @@ class FieldElement:
 class Field:
     """GF(p^s) for an odd prime p, with dense arithmetic tables."""
 
-    def __init__(self, p: int, s: int, modulus: Optional[Sequence[int]] = None) -> None:
+    def __init__(self, p: int, s: int) -> None:
         if not isinstance(s, int) or s < 1:
             raise ValueError(f"extension degree must be >= 1, got {s!r}")
         # the size check comes first: a huge p would cost O(sqrt p) in the
@@ -229,16 +210,7 @@ class Field:
         self.p = p
         self.s = s
         self.q = q
-        if modulus is None:
-            self.modulus = smallest_irreducible(p, s)
-        else:
-            mod = tuple(c % p for c in modulus)
-            if s == 1:
-                if mod != (0, 1):
-                    raise ValueError("for s=1 the modulus must be X")
-            elif len(mod) != s + 1 or mod[-1] != 1 or not poly_is_irreducible(mod, p):
-                raise ValueError(f"modulus {modulus!r} is not monic irreducible of degree {s}")
-            self.modulus = mod
+        self.modulus = smallest_irreducible(p, s)
         self._build_tables()
         self.elements = tuple(FieldElement(self, i) for i in range(q))
         self.zero = self.elements[0]
@@ -247,11 +219,7 @@ class Field:
     # -- construction helpers ---------------------------------------------
 
     def index_to_coeffs(self, i: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.s):
-            i, r = divmod(i, self.p)
-            out.append(r)
-        return tuple(out)
+        return tuple(_digits(i, self.p, self.s))
 
     def coeffs_to_index(self, coeffs: Iterable[int]) -> int:
         i = 0
@@ -473,11 +441,7 @@ def point_indices(field: Field, d: int, pt) -> tuple[int, ...]:
 
 
 def point_from_index(field: Field, d: int, index: int) -> Point:
-    coords = []
-    for _ in range(d):
-        index, r = divmod(index, field.q)
-        coords.append(r)
-    return Point(field, reversed(coords))
+    return Point(field, reversed(_digits(index, field.q, d)))
 
 
 def space_size(q: int, d: int) -> int:

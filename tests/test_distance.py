@@ -478,8 +478,8 @@ class TestSpectralSummary:
 
 class TestFieldChecks:
     """t, the table and the energy keys must belong to E's field, and the
-    keys to E's d: the summary memo is keyed by square class, which names
-    neither."""
+    keys to E's d: the summary reads each key's coordinates through the
+    table's field, so a foreign key would be misread, not refused."""
 
     def test_t_from_another_field(self):
         f5, f7 = make_field(5), make_field(7)

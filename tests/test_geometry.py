@@ -194,6 +194,27 @@ class TestSphereTransform:
         with pytest.raises(ValueError):
             sphere_ft(table, Point(f, (0, 0)), SphereSpec(2, f.zero), "closed")
 
+    def test_foreign_m_and_t_rejected(self):
+        # both routes read m's coordinates and t's index as ones of the
+        # table's field, so a GF(7) m or t is refused before either runs
+        f, table = setup_q(5)
+        f7 = make_field(7)
+        m, foreign_m = Point(f, (1, 2)), Point(f7, (1, 2))
+        for mode in ("closed", "brute"):
+            with pytest.raises(ValueError, match=r"does not belong to GF\(5\)\^2$"):
+                sphere_ft(table, foreign_m, SphereSpec(1, f.one), mode)
+            for t in (f7.zero, f7.one, f7.element(6)):
+                with pytest.raises(ValueError, match="^elements belong to different fields$"):
+                    sphere_ft(table, m, SphereSpec(1, t), mode)
+        for bad in (foreign_m, Point(f7, (6, 5))):
+            with pytest.raises(ValueError, match=r"does not belong to GF\(5\)\^2$"):
+                a_term(table, bad, f.one, 1)
+            with pytest.raises(ValueError, match=r"does not belong to GF\(5\)\^2$"):
+                b_term(f, bad, 1)
+        for t in (f7.zero, f7.one):
+            with pytest.raises(ValueError, match="^elements belong to different fields$"):
+                a_term(table, m, t, 1)
+
     def test_brute_dc_value(self):
         f, table = setup_q(3)
         m = Point(f, (0, 0))

@@ -11,12 +11,23 @@ from ffdist.cyclotomic import Cyclotomic
 from ffdist.gf import (Field, FieldElement, Point, _poly_mul, _poly_powmod,
                        _poly_rem, _poly_trim, enumerate_vectors,
                        factor_prime_power, index_vectors, make_field,
-                       point_from_index, space_size, within_cap)
+                       point_from_index, poly_is_irreducible, space_size,
+                       within_cap)
 
 ODD_PRIME_POWERS_49 = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49]
 ODD_PRIME_POWERS_125 = ODD_PRIME_POWERS_49 + [
     53, 59, 61, 67, 71, 73, 79, 81, 83, 89, 97, 101, 103, 107, 109, 113, 121, 125]
 TABLES = ("_add", "_mul", "_neg", "_inv", "_trace", "_quad")
+# the default modulus of every extension field in scope (q <= 2048), in
+# ascending coefficient order; every table and every output depends on it
+DEFAULT_MODULI = {
+    9: (1, 0, 1), 25: (2, 0, 1), 27: (1, 2, 0, 1), 49: (1, 0, 1),
+    81: (2, 1, 0, 0, 1), 121: (1, 0, 1), 125: (1, 1, 0, 1), 169: (2, 0, 1),
+    243: (1, 2, 0, 0, 0, 1), 289: (3, 0, 1), 343: (2, 0, 0, 1),
+    361: (1, 0, 1), 529: (1, 0, 1), 625: (2, 0, 0, 0, 1),
+    729: (2, 1, 0, 0, 0, 0, 1), 841: (2, 0, 1), 961: (1, 0, 1),
+    1331: (4, 1, 0, 1), 1369: (2, 0, 1), 1681: (3, 0, 1), 1849: (1, 0, 1),
+}
 
 
 def field_for(q):
@@ -75,6 +86,18 @@ class TestConstruction:
         # -1 is a nonsquare mod 3, so X^2 + 1 is the first irreducible hit
         assert make_field(3, 2).modulus == (1, 0, 1)
 
+    def test_default_moduli_pinned(self):
+        # Field, not make_field: the large tables stay out of the shared cache
+        moduli = {}
+        for q in range(3, gf._MAX_Q + 1, 2):
+            try:
+                p, s = factor_prime_power(q)
+            except ValueError:
+                continue
+            if s > 1:
+                moduli[q] = Field(p, s).modulus
+        assert moduli == DEFAULT_MODULI
+
     def test_even_characteristic_rejected(self):
         with pytest.raises(ValueError):
             Field(2, 1)
@@ -86,12 +109,6 @@ class TestConstruction:
     def test_bad_degree(self):
         with pytest.raises(ValueError):
             Field(3, 0)
-
-    def test_custom_modulus_validated(self):
-        with pytest.raises(ValueError):
-            Field(3, 2, modulus=(2, 0, 1))  # X^2 + 2 = (X-1)(X+1) mod 3
-        f = Field(5, 2, modulus=(2, 0, 1))  # X^2 + 2 irreducible mod 5
-        assert f.q == 25
 
     def test_factor_prime_power(self):
         assert factor_prime_power(27) == (3, 3)
@@ -110,17 +127,22 @@ class TestTablesAgainstReference:
     def test_benchmark_orders(self, q):
         _assert_tables_match_reference(Field(*factor_prime_power(q)))
 
-    @pytest.mark.parametrize("p,s,modulus", [
-        (3, 2, (1, 0, 1)),     # X^2 + 1: X has order 4, not 8
-        (3, 2, (2, 1, 1)),     # X^2 + X + 2
-        (5, 2, (2, 0, 1)),     # X^2 + 2
-        (7, 2, (1, 0, 1)),     # X^2 + 1
-        (3, 3, (1, 2, 0, 1)),  # X^3 + 2X + 1
-    ])
-    def test_custom_modulus(self, p, s, modulus):
-        f = Field(p, s, modulus=modulus)
-        assert f.modulus == modulus
-        _assert_tables_match_reference(f)
+
+def _monic(p, n):
+    """Every monic polynomial of degree n over GF(p), ascending coefficients."""
+    return [tuple(c) + (1,) for c in itertools.product(range(p), repeat=n)]
+
+
+@pytest.mark.parametrize("p,n", [(3, n) for n in range(1, 7)]
+                         + [(p, n) for p in (5, 7) for n in range(1, 4)])
+def test_irreducible_by_definition(p, n):
+    """poly_is_irreducible accepts exactly the monic polynomials of degree n
+    that are not a product of two monic factors of degree >= 1."""
+    products = {tuple(_poly_mul(f, g, p))
+                for a in range(1, n) for f in _monic(p, a) for g in _monic(p, n - a)}
+    accepted = {f for f in _monic(p, n) if poly_is_irreducible(f, p)}
+    assert accepted == set(_monic(p, n)) - products
+    assert not poly_is_irreducible((p - 1,), p)
 
 
 @pytest.mark.parametrize("p,s", [(2027, 1), (3, 6)])
