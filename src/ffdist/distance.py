@@ -42,8 +42,13 @@ d, matched against the mapping's exact contents).  The brute and closed
 sphere_ft and a_term stay as oracles for the tests and the sphere-ft
 command.
 
-The direct count and the distance set read the same index loop over
-E x E, which works on element indices and builds no objects per pair.
+The direct count and the distance set read the same pair loop over
+E x E, _k_norm_rows.  It runs the k-norm as a state machine on element
+indices (the running sum of squares and the zero count so far, one
+absorbing state for k or more zeros), with its tables built once per
+call from the field's add and mul tables.  A row is a few C-level lookup
+passes per coordinate over all y at once; no object is built per pair, and
+no spectral code is shared with the spectral route.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, repeat
 from typing import Optional
 
 from .characters import CharacterTable, character_table
@@ -71,30 +76,62 @@ def distance_set(E: PointSet, k: int) -> list[FieldElement]:
     return [E.field.elements[i] for i in sorted(found)]
 
 
+def _k_norm_states(field: Field, d: int, k: int) -> tuple[list, list[int]]:
+    """The transition table step and the read-out final of the k-norm state
+    machine over GF(q)^d (see _k_norm_rows), built from the field's tables.
+
+    State acc + q z holds the running sum of squares acc while z < k of the
+    coordinates seen so far are zero; the one dead state q k means at least
+    k zeros, k-norm 0, and is absorbing.  step[c][state] is the state after
+    one more coordinate difference of index c: for c != 0 the column is the
+    add row of c^2 (add is symmetric) shifted by q z on each level, and for
+    c = 0 it moves one level up, or to the dead state from the last level.
+    At k = d the states are the sums alone, and step[c] is the add row of
+    c^2 itself: a zero coordinate adds 0, and d zeros leave the sum 0.
+    """
+    q, add, mul = field.q, field._add, field._mul
+    if k == d:
+        return [add[mul[c][c]] for c in range(q)], list(range(q))
+    dead = q * k
+    step = [list(range(q, dead)) + [dead] * (q + 1)]
+    for c in range(1, q):
+        row = add[mul[c][c]]
+        column = list(row)
+        for z in range(1, k):
+            column += map(operator.add, row, repeat(q * z))
+        column.append(dead)
+        step.append(column)
+    return step, list(range(q)) * k + [0]
+
+
 def _k_norm_rows(E: PointSet, k: int):
     """For each x in E, the list of k-norm indices of x - y over every y in E.
 
-    The one direct pair loop: it works on element indices through the
-    field's tables and builds no Point or FieldElement per pair.
+    The one direct pair loop, run as a state machine on element indices:
+    every pair (x, y) starts in state 0 and takes one step per coordinate,
+    step[c][state] for the difference c = x_i - y_i, and its k-norm is
+    final[state] (_k_norm_states).  A row is a few C-level lookup passes
+    per coordinate over all y at once: the differences are read from the
+    add row of x_i at the columns -y_i, then the step columns of those
+    differences at the current states.  No Point or FieldElement is built
+    per pair, and the tables are built once per call.
     """
     f = E.field
     check_k(k, E.d)
-    add, mul, neg = f._add, f._mul, f._neg
     pts = [x.idx for x in E]
-    negs = [[neg[b] for b in y] for y in pts]
-    for xi in pts:
-        row = []
-        for yn in negs:
-            zeros = 0
-            acc = 0
-            for a, b in zip(xi, yn):
-                c = add[a][b]
-                if c == 0:
-                    zeros += 1
-                else:
-                    acc = add[acc][mul[c][c]]
-            row.append(acc if zeros < k else 0)
-        yield row
+    if len(pts) < 2:  # itemgetter of one key returns a scalar; x - x = 0
+        yield from [[0]] * len(pts)
+        return
+    add, neg, get = f._add, f._neg, operator.itemgetter
+    step, final = _k_norm_states(f, E.d, k)
+    first = [column[0] for column in step]
+    # per coordinate i, one getter that reads a row at -y_i for every y
+    minus_y0, *minus_y = [get(*[neg[y[i]] for y in pts]) for i in range(E.d)]
+    for x in pts:
+        states = get(*minus_y0(add[x[0]]))(first)
+        for ys, xi in zip(minus_y, x[1:]):
+            states = map(operator.getitem, get(*ys(add[xi]))(step), states)
+        yield list(get(*states)(final))
 
 
 def _distance_indices(E: PointSet, k: int) -> set[int]:

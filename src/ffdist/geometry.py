@@ -30,7 +30,8 @@ from typing import List, Sequence
 from .characters import CharacterTable, _check_field
 from .cyclotomic import Cyclotomic
 from .fourier import PointSet
-from .gf import Field, FieldElement, Point, enumerate_vectors, point_indices
+from .gf import (Field, FieldElement, Point, enumerate_vectors, point_dim_indices,
+                 point_indices)
 
 
 def check_k(k: int, d: int) -> None:
@@ -148,8 +149,7 @@ def a_term(table: CharacterTable, m: Point, t: FieldElement, k: int) -> Cyclotom
     coordinates.
     """
     f = table.field
-    d = m.d
-    point_indices(f, d, m)
+    d, _ = point_dim_indices(f, m)
     _check_field(table, t)
     if t.is_zero:
         raise ValueError("A(m, t) is defined only for t != 0")
@@ -172,8 +172,8 @@ def b_term_alpha_range(field: Field, m: Point, alpha_lo: int, alpha_hi: int) -> 
 
 def b_term(field: Field, m: Point, k: int) -> int:
     """B(m): the combinatorial part of the sphere transform (an integer)."""
-    check_k(k, m.d)
-    point_indices(field, m.d, m)
+    d, _ = point_dim_indices(field, m)
+    check_k(k, d)
     return b_term_alpha_range(field, m, 0, k - 1)
 
 
@@ -185,9 +185,8 @@ def sphere_ft(table: CharacterTable, m: Point, spec: SphereSpec,
     q^{-d-1} (A(m,t) + B(m)) and requires t != 0.
     """
     f = table.field
-    d = m.d
+    d, mi = point_dim_indices(f, m)
     check_k(spec.k, d)
-    mi = point_indices(f, d, m)
     _check_field(table, spec.t)
     if mode == "brute":
         dot, trace, neg = f.dot, f._trace, f._neg

@@ -22,6 +22,7 @@ GF(27), ... are identical across runs and platforms.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, Optional, Sequence
@@ -440,8 +441,34 @@ def point_indices(field: Field, d: int, pt) -> tuple[int, ...]:
     return pt.idx
 
 
+def point_dim_indices(field: Field, pt) -> tuple[int, tuple[int, ...]]:
+    """(d, the index tuple) of pt, once pt is checked to be a Point of
+    GF(q)^d for its own d; anything else is refused before its d is read."""
+    if not isinstance(pt, Point):
+        raise ValueError(f"{pt!r} does not belong to GF({field.q})^d")
+    return pt.d, point_indices(field, pt.d, pt)
+
+
 def point_from_index(field: Field, d: int, index: int) -> Point:
-    return Point(field, reversed(_digits(index, field.q, d)))
+    """The point whose coordinates are the d base-q digits of index, most
+    significant first, for 0 <= index < q^d.
+
+    The quotient left after d digits is 0 exactly for such an index (a
+    negative one leaves -1), so the range is checked without forming q^d,
+    and the digits are ints in range, so the point is built unchecked.
+    """
+    if d < 1:
+        raise ValueError("points must have dimension >= 1")
+    q, n, idx = field.q, operator.index(index), []
+    for _ in range(d):
+        n, r = divmod(n, q)
+        idx.append(r)
+    if n:
+        raise ValueError(f"point index must lie in [0, {q}^{d})")
+    pt = Point.__new__(Point)
+    pt.field = field
+    pt.idx = tuple(reversed(idx))
+    return pt
 
 
 def space_size(q: int, d: int) -> int:

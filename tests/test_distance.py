@@ -307,6 +307,52 @@ class TestDirectRoute:
         assert len(rows) < len(E)
 
 
+class TestStateMachine:
+    """The table-driven pair loop against the Point/k_norm oracle.
+
+    (7, 3) and (3, 4) run up to 2 and 3 zero levels before the dead state;
+    (25, 2), (27, 2) and (41, 2) run the q x q table of k = d and the one
+    zero level of k = 1 over extension and larger prime fields.
+    """
+
+    @staticmethod
+    def _check(E, k):
+        counts = _reference_nu_direct(E, k)
+        assert nu_direct_all(E, k) == counts
+        assert _distance_indices(E, k) == {t for t, n in counts.items() if n}
+
+    @pytest.mark.parametrize("q,d,size", [(7, 3, 100), (3, 4, 60), (25, 2, 100),
+                                          (27, 2, 100), (41, 2, 100)])
+    def test_every_k_matches_the_oracle(self, q, d, size):
+        f = field_for(q)
+        pts = list(random_subset(f, d, size, seed=q * d))
+        # differences with zeros ahead of and behind a nonzero coordinate, so
+        # each zero level is entered and left, and the dead state is entered
+        # before a nonzero coordinate
+        extra = (Point(f, (0,) * d), Point(f, (0,) * (d - 1) + (1,)),
+                 Point(f, (1,) + (0,) * (d - 1)))
+        E = PointSet(f, d, pts + [x for x in extra if x not in set(pts)])
+        for k in range(1, d + 1):
+            self._check(E, k)
+
+    @pytest.mark.parametrize("q,d", [(7, 3), (3, 4), (25, 2)])
+    def test_tiny_sets(self, q, d):
+        f = field_for(q)
+        for size in (0, 1, 2):
+            E = random_subset(f, d, size, seed=size)
+            for k in range(1, d + 1):
+                self._check(E, k)
+                assert list(distance._k_norm_rows(E, k)) == \
+                    [[k_norm(x - y, k).index for y in E] for x in E]
+
+    @pytest.mark.parametrize("q,d,k", [(23, 3, 1), (5, 4, 2)])
+    def test_sharpness_sets(self, q, d, k):
+        f = field_for(q)
+        E = sharpness_example(f, d, k)
+        assert [t.index for t in distance_set(E, k)] == [0]
+        assert nu_direct_all(E, k) == Counter({0: len(E) ** 2, **{t: 0 for t in range(1, q)}})
+
+
 def _per_frequency_energy(E):
     # |Ehat(m)|^2 at every frequency, ungrouped
     return {m: v * v.conjugate() for m, v in dft_indicator(E).items()}

@@ -215,6 +215,18 @@ class TestSphereTransform:
             with pytest.raises(ValueError, match="^elements belong to different fields$"):
                 a_term(table, m, t, 1)
 
+    def test_non_point_m_rejected(self):
+        # a plain tuple m used to raise AttributeError on m.d
+        f, table = setup_q(5)
+        for bad in ((1, 2), [1, 2], None):
+            for mode in ("closed", "brute"):
+                with pytest.raises(ValueError, match=r"does not belong to GF\(5\)\^d$"):
+                    sphere_ft(table, bad, SphereSpec(1, f.one), mode)
+            with pytest.raises(ValueError, match=r"does not belong to GF\(5\)\^d$"):
+                a_term(table, bad, f.one, 1)
+            with pytest.raises(ValueError, match=r"does not belong to GF\(5\)\^d$"):
+                b_term(f, bad, 1)
+
     def test_brute_dc_value(self):
         f, table = setup_q(3)
         m = Point(f, (0, 0))

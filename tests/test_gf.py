@@ -325,6 +325,32 @@ class TestVectors:
             with pytest.raises(ValueError):
                 Point(f, bad)
 
+    def test_point_from_index_range(self):
+        # index q^d used to wrap to the origin and -1 to (q-1, ..., q-1)
+        f = make_field(5)
+        assert point_from_index(f, 2, 24) == Point(f, (4, 4))
+        assert point_from_index(f, 2, 0) == Point(f, (0, 0))
+        for bad in (25, -1, 26, -25, 5**40, -(5**40)):
+            with pytest.raises(ValueError, match=r"^point index must lie in \[0, 5\^2\)$"):
+                point_from_index(f, 2, bad)
+        with pytest.raises(ValueError, match="dimension >= 1"):
+            point_from_index(f, 0, 0)
+        with pytest.raises(TypeError):
+            point_from_index(f, 2, 3.0)
+
+    def test_point_from_index_round_trip(self):
+        # the digits are read back as the index, and the unchecked point is
+        # the checked one
+        for f, d in ((make_field(3), 3), (make_field(3, 2), 2), (make_field(7), 2)):
+            for i in range(f.q**d):
+                x = point_from_index(f, d, i)
+                assert type(x) is Point and x == Point(f, x.idx)
+                assert sum(c * f.q ** j for j, c in enumerate(reversed(x.idx))) == i
+        f = make_field(3)
+        assert point_from_index(f, 30, 3**30 - 1).idx == (2,) * 30
+        with pytest.raises(ValueError):
+            point_from_index(f, 30, 3**30)
+
     def test_enumeration_cardinality_gf9(self):
         assert len(enumerate_vectors(make_field(3, 2), 3)) == 729
 

@@ -81,3 +81,29 @@ def test_guard_sees_per_term_calls(counted):
         x.norm()
     gf.point_from_index(f, 2, 4)
     assert len(counted) == 2 * len(pts) + 1
+
+
+@pytest.mark.parametrize("q,d", [(5, 3), (9, 2)])
+def test_direct_pair_loop_works_on_tables(q, d, monkeypatch):
+    # one transition-table build per call, however many rows, and no
+    # Field.dot, Point.__sub__ or k_norm inside the pair loop
+    seen = []
+
+    def wrap(owner, name):
+        real = getattr(owner, name)
+
+        def counter(*args, **kwargs):
+            seen.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counter)
+
+    for owner, name in ((distance, "_k_norm_states"), (gf.Field, "dot"),
+                        (Point, "__sub__"), (geometry, "k_norm")):
+        wrap(owner, name)
+    f = make_field(*factor_prime_power(q))
+    E = harness.sample_set(f, d, 30, seed=3, trial=0)
+    for k in range(1, d + 1):
+        for call in (distance.nu_direct_all, distance._distance_indices):
+            seen.clear()
+            call(E, k)
+            assert seen == ["_k_norm_states"]
