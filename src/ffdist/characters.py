@@ -4,9 +4,12 @@ The canonical additive character is chi_1(c) = zeta_p^{Tr(c)}; the general
 chi_b(c) is evaluated as chi_1(b*c) rather than tabulated per b.  All sums
 return exact Cyclotomic values; magnitude statements (|G_1| = sqrt(q), the
 Weil bound for Kloosterman sums) are checked through the complex embedding.
-gauss_sum, kloosterman and the vector sum of gauss_identities run on element
-indices through the field's tables (x.u through Field.dot), with no element
-or Point object per term.
+gauss_sum and kloosterman run on element indices through the field's
+tables, with no element object per term.  The three brute sums of
+gauss_identities read the arguments of all the terms of one sum at once, by
+C-level itemgetter passes over the field's add and mul rows (for the vector
+sum, over the coordinate columns of all q^d vectors), and count their
+traces; no Field.dot, no element and no Point is used per term.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .cyclotomic import Cyclotomic
-from .gf import Field, FieldElement, Point, index_vectors, point_indices
+from .gf import Field, FieldElement, Point, index_vectors, point_dim_indices
 
 SQRT_TOL = 1e-6
 
@@ -97,33 +100,85 @@ class GaussIdentityReport:
 
 def gauss_identities(table: CharacterTable, a: FieldElement, b: FieldElement,
                      v: Point) -> GaussIdentityReport:
-    """Verify the three Gauss-sum identities by brute summation vs closed form."""
-    f = table.field
+    """Verify the three Gauss-sum identities by brute summation vs closed form.
+
+    a and b are checked to belong to the table's field, and v to be a Point
+    of it, before any table is read.  The sums are table passes over element
+    indices (_gauss_sums) over the coordinate columns of all q^d vectors u,
+    which are built on each call (run_identity_checks builds them once).
+    """
+    _check_field(table, a, b)
     if a.is_zero:
         raise ValueError("the quadratic coefficient a must be nonzero")
-    g1 = table.gauss_standard()
-    eta_a = f.quad_char(a)
-    inv4a = (f.from_int(4) * a).inverse()
+    f = table.field
+    d, vi = point_dim_indices(f, v)
+    return _gauss_report(table, a.index, b.index, vi, _gauss_tables(table, d))
 
-    counts: Counter = Counter()
-    for s in f.elements:
-        counts[(a * s * s).trace()] += 1
-    lhs1 = Cyclotomic.from_counts(f.p, counts)
-    rhs1 = g1 * eta_a
 
-    counts = Counter()
-    for s in f.elements:
-        counts[(a * s * s + b * s).trace()] += 1
-    lhs2 = Cyclotomic.from_counts(f.p, counts)
-    rhs2 = eta_a * g1 * table.chi(-(b * b) * inv4a)
+def _gauss_tables(table: CharacterTable, d: int) -> tuple:
+    """The tables that gauss_identities over GF(q)^d reads for every a, b
+    and v: (coords, norms, squares, G_1^d).  coords holds one getter per
+    coordinate i, reading a row at u_i for each u of index_vectors(f, d) in
+    its order; norms reads a row at ||u|| for each u, and squares at s^2 for
+    each s.  The norms are one add-row pass per coordinate over the squared
+    columns."""
+    from operator import getitem, itemgetter
 
-    d = v.d
-    vi = point_indices(f, d, v)
-    row, dot, add, trace = f._mul[a.index], f.dot, f._add, f._trace
-    counts = Counter(trace[add[row[dot(u, u)]][dot(vi, u)]] for u in index_vectors(f, d))
-    lhs3 = Cyclotomic.from_counts(f.p, counts)
-    rhs3 = (eta_a**d) * (g1**d) * table.chi(-(v.norm() * inv4a))
+    f = table.field
+    add, mul = f._add, f._mul
+    columns = list(zip(*index_vectors(f, d)))
+    squares = [mul[c][c] for c in range(f.q)]
+    norms = itemgetter(*columns[0])(squares)
+    for column in columns[1:]:
+        norms = map(getitem, itemgetter(*norms)(add), itemgetter(*column)(squares))
+    return ([itemgetter(*column) for column in columns], itemgetter(*norms),
+            itemgetter(*squares), table.gauss_standard() ** d)
 
+
+def _gauss_sums(f: Field, a: int, b: int, vi: tuple[int, ...],
+                tables: tuple) -> tuple[Cyclotomic, Cyclotomic, Cyclotomic]:
+    """The three brute sums of gauss_identities, for the indices a != 0 and b
+    and the index tuple vi of v, over _gauss_tables(table, len(vi)).
+
+    Every s and every u is visited, and chi is read at that term's own
+    argument: the arguments of a whole sum are a few C-level lookup passes
+    over the field's tables (a s^2 from a's mul row at the squares, plus
+    b s from the add rows; a ||u|| from a's mul row at the norms, plus
+    v_i u_i from the add rows, one pass per coordinate), and their traces
+    are counted once.
+    """
+    from operator import getitem, itemgetter
+
+    add, mul, trace, p = f._add, f._mul, f._trace, f.p
+    coords, norms, squares, _ = tables
+
+    def chi_sum(args) -> Cyclotomic:
+        return Cyclotomic.from_counts(p, Counter(itemgetter(*args)(trace)))
+
+    a_s2 = squares(mul[a])
+    lhs1 = chi_sum(a_s2)
+    lhs2 = chi_sum(map(getitem, itemgetter(*a_s2)(add), mul[b]))
+    total = norms(mul[a])
+    for column, c in zip(coords, vi):
+        total = map(getitem, itemgetter(*total)(add), column(mul[c]))
+    return lhs1, lhs2, chi_sum(total)
+
+
+def _gauss_report(table: CharacterTable, a: int, b: int, vi: tuple[int, ...],
+                  tables: tuple) -> GaussIdentityReport:
+    """gauss_identities on indices: each brute sum of _gauss_sums against its
+    closed form, chi(c) applied as a rotation by Tr(c)."""
+    f = table.field
+    add, mul, trace = f._add, f._mul, f._trace
+    lhs1, lhs2, lhs3 = _gauss_sums(f, a, b, vi, tables)
+    w = f._neg[f._inv[mul[4 % f.p][a]]]  # -1/4a
+    norm_v = 0
+    for c in vi:
+        norm_v = add[norm_v][mul[c][c]]
+    eta_a, g1_d = f._quad[a], tables[-1]
+    rhs1 = table.gauss_standard() * eta_a
+    rhs2 = rhs1.times_root(trace[mul[w][mul[b][b]]])
+    rhs3 = (g1_d * eta_a**len(vi)).times_root(trace[mul[w][norm_v]])
     return GaussIdentityReport(lhs1 == rhs1, lhs2 == rhs2, lhs3 == rhs3)
 
 
@@ -194,10 +249,9 @@ def run_identity_checks(field: Field) -> list[CheckResult]:
           all(gauss_sum(table, a) == f.quad_char(a) * g1 for a in f.elements[1:]))
     check("gauss_at_zero", gauss_sum(table, f.zero) == 0)
 
-    ok = all(
-        gauss_identities(table, a, b, Point(f, (b, a))).all_hold
-        for a in f.elements[1:] for b in f.elements
-    )
+    tables = _gauss_tables(table, 2)
+    ok = all(_gauss_report(table, a, b, (b, a), tables).all_hold
+             for a in range(1, q) for b in range(q))
     check("gauss_identities", ok)
 
     bound = 2 * math.sqrt(q) + SQRT_TOL

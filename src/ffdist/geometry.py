@@ -50,6 +50,8 @@ class SphereSpec:
 
 def k_norm(x: Point, k: int) -> FieldElement:
     """||x||_k: the sum of squares if Z(x) <= k-1, else 0."""
+    if not isinstance(x, Point):  # no field to name: refused before x.d is read
+        raise ValueError(f"{x!r} does not belong to any GF(q)^d")
     check_k(k, x.d)
     if x.zero_count() <= k - 1:
         return x.norm()
@@ -165,7 +167,7 @@ def a_term(table: CharacterTable, m: Point, t: FieldElement, k: int) -> Cyclotom
 
 def b_term_alpha_range(field: Field, m: Point, alpha_lo: int, alpha_hi: int) -> int:
     """sum over alpha in [alpha_lo, alpha_hi] of the s = 0 subset sums."""
-    d = m.d
+    d, _ = point_dim_indices(field, m)
     es = _elementary_symmetric(_zero_pattern_factors(field, m))
     return sum(es[d - alpha] for alpha in range(alpha_lo, alpha_hi + 1))
 

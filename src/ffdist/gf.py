@@ -12,7 +12,8 @@ build is O(q*s) polynomial work plus q^2 list copies.
 
 Points of F_q^d are tuples of element indices.  Point is the checked public
 type; the enumeration loops of the other modules run on the index tuples
-themselves and reach x.m through Field.dot, which builds no object per term.
+themselves, either per term through Field.dot, which builds no object per
+term, or as lookup passes over whole columns of indices at once.
 
 The defining modulus is chosen deterministically (smallest monic irreducible
 polynomial of degree s in base-p coefficient order) so that GF(9), GF(25),

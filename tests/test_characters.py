@@ -1,13 +1,15 @@
 import math
+import random
 from collections import Counter
 
 import pytest
 
+from ffdist import characters
 from ffdist.characters import (character_table, gauss_closed_form,
                                gauss_identities, gauss_sum, kloosterman,
                                run_identity_checks)
 from ffdist.cyclotomic import Cyclotomic
-from ffdist.gf import Point, factor_prime_power, make_field
+from ffdist.gf import Point, enumerate_vectors, factor_prime_power, make_field
 
 SUM_ORDERS = [3, 5, 9, 25, 27, 49]
 
@@ -32,6 +34,34 @@ def _reference_kloosterman(table, a, b):
     for s in f.elements[1:]:
         counts[(a * s + b * s.inverse()).trace()] += 1
     return Cyclotomic.from_counts(f.p, counts)
+
+
+def _reference_gauss_sums(f, a, b, v):
+    """The three sums of gauss_identities term by term on FieldElements and
+    Points: chi(a s^2), chi(a s^2 + b s) over s, chi(a ||u|| + v.u) over u."""
+    square, completed, vector = Counter(), Counter(), Counter()
+    for s in f.elements:
+        square[(a * s * s).trace()] += 1
+        completed[(a * s * s + b * s).trace()] += 1
+    for u in enumerate_vectors(f, v.d):
+        vector[(a * u.norm() + v.dot(u)).trace()] += 1
+    return tuple(Cyclotomic.from_counts(f.p, c) for c in (square, completed, vector))
+
+
+def _oracle_cases(f, d):
+    """(a, b, v): a = 1 with b = 0 and v = 0, a nonsquare a with a zero in
+    v, and seeded draws with a != 0."""
+    rng = random.Random(f.q * 10 + d)
+    nonsquare = next(x for x in f.elements if f.quad_char(x) == -1)
+    cases = [(f.one, f.zero, Point(f, [0] * d)),
+             (nonsquare, f.elements[-1], Point(f, [0] + [f.q - 1] * (d - 1)))]
+    for _ in range(4):
+        cases.append((rng.choice(f.elements[1:]), rng.choice(f.elements),
+                      Point(f, [rng.randrange(f.q) for _ in range(d)])))
+    return cases
+
+
+ORACLE_SPACES = [(q, d) for q in (3, 5, 7, 9, 25, 27) for d in (1, 2, 3)]
 
 
 class TestCharacterTable:
@@ -123,6 +153,34 @@ class TestGaussIdentities:
         t = table_for(7)
         with pytest.raises(ValueError, match="does not belong"):
             gauss_identities(t, t.field.one, t.field.one, Point(make_field(5), (1, 2)))
+
+    def test_non_point_vector_rejected(self):
+        t = table_for(5)
+        for bad in ((1, 2), None):
+            with pytest.raises(ValueError, match="does not belong"):
+                gauss_identities(t, t.field.one, t.field.one, bad)
+
+    def test_element_of_another_field_rejected(self):
+        # refused before any table is read: GF(7):6 has no row in GF(5)'s
+        # tables, and GF(9):2 has one that means something else
+        t = table_for(5)
+        one, v = t.field.one, Point(t.field, (1, 2))
+        for other in (make_field(7).element(6), make_field(3, 2).element(2)):
+            with pytest.raises(ValueError, match="different fields"):
+                gauss_identities(t, other, one, v)
+            with pytest.raises(ValueError, match="different fields"):
+                gauss_identities(t, one, other, v)
+
+    @pytest.mark.parametrize("q,d", ORACLE_SPACES)
+    def test_sums_match_reference(self, q, d):
+        # the table passes against the per-term loop, sum by sum, under ==
+        t = table_for(q)
+        f = t.field
+        tables = characters._gauss_tables(t, d)
+        for a, b, v in _oracle_cases(f, d):
+            want = _reference_gauss_sums(f, a, b, v)
+            assert characters._gauss_sums(f, a.index, b.index, v.idx, tables) == want
+            assert gauss_identities(t, a, b, v).all_hold
 
     @pytest.mark.parametrize("q", [3, 5])
     def test_exhaustive_small(self, q):

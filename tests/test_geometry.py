@@ -227,6 +227,19 @@ class TestSphereTransform:
             with pytest.raises(ValueError, match=r"does not belong to GF\(5\)\^d$"):
                 b_term(f, bad, 1)
 
+    def test_non_point_x_or_m_rejected_by_k_norm_and_alpha_range(self):
+        # a plain tuple used to raise AttributeError on x.d / m.d
+        f, _ = setup_q(5)
+        for bad in ((1, 2), [1, 2], None):
+            with pytest.raises(ValueError, match=r"does not belong to any GF\(q\)\^d$"):
+                k_norm(bad, 1)
+            with pytest.raises(ValueError, match=r"does not belong to GF\(5\)\^d$"):
+                geometry.b_term_alpha_range(f, bad, 0, 1)
+        with pytest.raises(ValueError, match=r"does not belong to GF\(5\)\^2$"):
+            geometry.b_term_alpha_range(f, Point(make_field(7), (1, 2)), 0, 1)
+        m = Point(f, (0, 2))
+        assert geometry.b_term_alpha_range(f, m, 0, 1) == b_term(f, m, 2)
+
     def test_brute_dc_value(self):
         f, table = setup_q(3)
         m = Point(f, (0, 0))

@@ -107,3 +107,42 @@ def test_direct_pair_loop_works_on_tables(q, d, monkeypatch):
             seen.clear()
             call(E, k)
             assert seen == ["_k_norm_states"]
+
+
+def _count_calls(monkeypatch, seen, owner, name):
+    real = getattr(owner, name)
+
+    def counter(*args, **kwargs):
+        seen.append(name)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counter)
+
+
+@pytest.mark.parametrize("q", [3, 9, 19])
+def test_identity_battery_works_on_tables(q, monkeypatch):
+    # the brute Gauss sums of verify-identities are table passes: no
+    # Field.dot anywhere in the battery, and the columns of every u are
+    # built once per battery, not once per (a, b)
+    seen = []
+    for owner, name in ((gf.Field, "dot"), (characters, "index_vectors")):
+        _count_calls(monkeypatch, seen, owner, name)
+    checks = characters.run_identity_checks(make_field(*factor_prime_power(q)))
+    assert all(c.passed for c in checks)
+    assert seen == ["index_vectors"]
+
+
+def test_gauss_identities_multiplies_no_element_per_term(monkeypatch):
+    # the closed forms take a fixed number of element products; the sums
+    # over q values of s and q^d vectors u take none
+    seen = []
+    _count_calls(monkeypatch, seen, gf.FieldElement, "__mul__")
+    counts = []
+    for q in (5, 9):
+        f = make_field(*factor_prime_power(q))
+        table = characters.CharacterTable(f)
+        seen.clear()
+        report = characters.gauss_identities(table, f.elements[2], f.elements[3],
+                                             Point(f, (1, 2, 0)))
+        assert report.all_hold
+        counts.append(len(seen))
+    assert counts[0] == counts[1]
