@@ -13,8 +13,8 @@ from .distance import (BoundReport, alternating_binomial_sum, bounds,
                        sharpness_example)
 from .fourier import (PointSet, dft, dft_indicator, inverse_dft, plancherel_check,
                       spectral_energy)
-from .geometry import (SphereSpec, a_term, b_term, k_norm, lemma31_sum,
-                       sphere_ft, sphere_points, stratum, stratum_sum_brute)
+from .geometry import (a_term, b_term, k_norm, lemma31_sum, sphere_ft,
+                       sphere_points, stratum, stratum_sum_brute)
 from .gf import (Field, FieldElement, Point, enumerate_vectors,
                  factor_prime_power, make_field, point_from_index)
 from .harness import (ExperimentConfig, SweepRecord, main, sample_set,
@@ -22,8 +22,7 @@ from .harness import (ExperimentConfig, SweepRecord, main, sample_set,
 
 __all__ = [
     "BoundReport", "CharacterTable", "Cyclotomic", "ExperimentConfig",
-    "Field", "FieldElement", "Point", "PointSet",
-    "SphereSpec", "SweepRecord",
+    "Field", "FieldElement", "Point", "PointSet", "SweepRecord",
     "a_term", "alternating_binomial_sum", "b_term", "bounds",
     "character_table", "dft", "dft_indicator", "distance_set",
     "enumerate_vectors", "factor_prime_power", "gauss_closed_form",

@@ -18,6 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import getitem, itemgetter
 from typing import Optional
 
 from .cyclotomic import Cyclotomic
@@ -59,15 +60,19 @@ def character_table(field: Field) -> CharacterTable:
     return CharacterTable(field)
 
 
-def _check_field(table: CharacterTable, *elements: FieldElement) -> None:
-    if any(x.field is not table.field for x in elements):
-        raise ValueError("elements belong to different fields")
+def _check_field(field: Field, *elements: FieldElement) -> None:
+    """Raise ValueError unless every one of elements is an element of field."""
+    for x in elements:
+        if not isinstance(x, FieldElement):
+            raise ValueError(f"{x!r} is not an element of GF({field.q})")
+        if x.field is not field:
+            raise ValueError("elements belong to different fields")
 
 
 def gauss_sum(table: CharacterTable, a: FieldElement) -> Cyclotomic:
     """G_a = sum over c in F_q* of eta(c) chi_a(c); G_0 = 0 by orthogonality."""
-    _check_field(table, a)
     f = table.field
+    _check_field(f, a)
     acc = [0] * f.p
     row, trace, quad = f._mul[a.index], f._trace, f._quad
     for c in range(1, f.q):
@@ -107,10 +112,10 @@ def gauss_identities(table: CharacterTable, a: FieldElement, b: FieldElement,
     indices (_gauss_sums) over the coordinate columns of all q^d vectors u,
     which are built on each call (run_identity_checks builds them once).
     """
-    _check_field(table, a, b)
+    f = table.field
+    _check_field(f, a, b)
     if a.is_zero:
         raise ValueError("the quadratic coefficient a must be nonzero")
-    f = table.field
     d, vi = point_dim_indices(f, v)
     return _gauss_report(table, a.index, b.index, vi, _gauss_tables(table, d))
 
@@ -122,8 +127,6 @@ def _gauss_tables(table: CharacterTable, d: int) -> tuple:
     its order; norms reads a row at ||u|| for each u, and squares at s^2 for
     each s.  The norms are one add-row pass per coordinate over the squared
     columns."""
-    from operator import getitem, itemgetter
-
     f = table.field
     add, mul = f._add, f._mul
     columns = list(zip(*index_vectors(f, d)))
@@ -147,8 +150,6 @@ def _gauss_sums(f: Field, a: int, b: int, vi: tuple[int, ...],
     v_i u_i from the add rows, one pass per coordinate), and their traces
     are counted once.
     """
-    from operator import getitem, itemgetter
-
     add, mul, trace, p = f._add, f._mul, f._trace, f.p
     coords, norms, squares, _ = tables
 
@@ -184,10 +185,10 @@ def _gauss_report(table: CharacterTable, a: int, b: int, vi: tuple[int, ...],
 
 def kloosterman(table: CharacterTable, a: FieldElement, b: FieldElement) -> Cyclotomic:
     """K(chi; a, b) = sum over s in F_q* of chi(a s + b s^{-1})."""
+    f = table.field
+    _check_field(f, a, b)
     if a.is_zero or b.is_zero:
         raise ValueError("Kloosterman sums require a != 0 and b != 0")
-    _check_field(table, a, b)
-    f = table.field
     acc = [0] * f.p
     mul_a, mul_b = f._mul[a.index], f._mul[b.index]
     add, inv, trace = f._add, f._inv, f._trace

@@ -61,7 +61,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations, repeat
 from typing import Optional
 
-from .characters import CharacterTable, character_table
+from .characters import CharacterTable, _check_field, character_table
 from .cyclotomic import Cyclotomic, common_denominator, convolve, rotated
 from .fourier import PointSet, spectral_energy
 from .gf import Field, FieldElement, Point, enumerate_vectors, point_indices
@@ -341,7 +341,6 @@ class _SpectralSummary:
         self._b = {k: (b, [c - q * x for c, x in zip(b, aux)])
                    for k, b, aux in zip(range(1, d + 1), sums[4:4 + d], sums[4 + d:])}
         self._t: dict[int, list[list[int]]] = {}
-        self._a: dict[tuple[int, int], Cyclotomic] = {}
 
     def _transforms(self, ti: int) -> list[list[int]]:
         """[T_0(t), ..., T_d(t)] for t of index ti: each row R_i(s) rotated
@@ -359,27 +358,24 @@ class _SpectralSummary:
                 out.append(acc)
         return out
 
+    def _a_num(self, t: FieldElement, k: int) -> list[int]:
+        """The coefficients of A_k(t) = sum_C e_C A(C, t) over den: the
+        transforms T_i(t), each scaled by c_k(i) (eta(-1) q)^{floor(i/2)}."""
+        acc = [0] * self.field.p
+        for c, ti in zip(self.scalars[k], self._transforms(t.index)):
+            if c:
+                acc = [a + c * v for a, v in zip(acc, ti)]
+        return acc
+
     def a_part(self, t: FieldElement, k: int) -> Cyclotomic:
-        """A_k(t) = sum_C e_C A(C, t): the transforms T_i(t), each scaled by
-        c_k(i) (eta(-1) q)^{floor(i/2)}."""
-        key = (k, t.index)
-        a = self._a.get(key)
-        if a is None:
-            acc = [0] * self.field.p
-            for c, ti in zip(self.scalars[k], self._transforms(t.index)):
-                if c:
-                    acc = [a + c * v for a, v in zip(acc, ti)]
-            a = self._a[key] = Cyclotomic._over(self.field.p, acc, self.den)
-        return a
+        """A_k(t), exact."""
+        return Cyclotomic._over(self.field.p, self._a_num(t, k), self.den)
 
     def count(self, t: FieldElement, k: int) -> Cyclotomic:
         """q^{2d} sum_m Shat_k^t(m) e_m, exact: q^{d-1} (A_k(t) + B_k), less
         q^d b_aux(k) at t = 0.  nu_E(t) when e is |Ehat|^2."""
-        a = self.a_part(t, k)
-        b = self._b[k][t.is_zero]
-        # A_k(t) is in lowest terms over a divisor of den
-        g, s = self.den // a.den, self.field.q ** (self.d - 1)
-        return Cyclotomic._over(self.field.p, [(g * x + y) * s for x, y in zip(a.num, b)],
+        s, b = self.field.q ** (self.d - 1), self._b[k][t.is_zero]
+        return Cyclotomic._over(self.field.p, [(x + y) * s for x, y in zip(self._a_num(t, k), b)],
                                 self.den)
 
 
@@ -398,9 +394,10 @@ def _spectral_summary(E: PointSet, t: FieldElement, k: int,
     the same field and d, so a reused slot needs no key check.
     """
     f = E.field
+    _check_field(f, t)
     if table is None:
         table = character_table(f)
-    if t.field is not f or table.field is not f:
+    if table.field is not f:
         raise ValueError("elements belong to different fields")
     if nonzero_t and t.is_zero:
         raise ValueError("bounds are defined for t != 0")

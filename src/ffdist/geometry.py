@@ -8,7 +8,8 @@ q^{-d-1} (A(m,t) + B(m)) assembled from Gauss sums, which is exposed only
 for t != 0 (the derivation discards a term that vanishes only then).  The
 closed form keeps no memo: each call evaluates m from its own coordinates,
 so checking it against the brute route at every m also checks, rather than
-assumes, that the transform is constant on square classes.
+assumes, that the transform is constant on square classes.  sphere_ft
+takes the sphere as its radius t and its k, in the order of a_term.
 
 Sums over coordinate subsets I of a fixed size are evaluated as elementary
 symmetric functions of per-coordinate factors, since every factor depends
@@ -22,7 +23,6 @@ cached point sets and work on index tuples through Field.dot.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import List, Sequence
@@ -35,17 +35,11 @@ from .gf import (Field, FieldElement, Point, enumerate_vectors, point_dim_indice
 
 
 def check_k(k: int, d: int) -> None:
-    """Raise ValueError unless 1 <= k <= d."""
+    """Raise ValueError unless k is an int with 1 <= k <= d."""
+    if not isinstance(k, int):
+        raise ValueError(f"k must be an int, got {k!r}")
     if not 1 <= k <= d:
         raise ValueError(f"k must lie in [1, {d}], got {k}")
-
-
-@dataclass(frozen=True)
-class SphereSpec:
-    """A sphere {x : ||x||_k = t}."""
-
-    k: int
-    t: FieldElement
 
 
 def k_norm(x: Point, k: int) -> FieldElement:
@@ -67,8 +61,9 @@ def stratum(field: Field, d: int, alpha: int) -> PointSet:
     return PointSet(field, d, pts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: k = 1.0 must not hit k = 1
 def sphere_points(field: Field, d: int, k: int, t: FieldElement) -> PointSet:
+    _check_field(field, t)
     check_k(k, d)
     pts = [x for x in enumerate_vectors(field, d) if k_norm(x, k) == t]
     return PointSet(field, d, pts)
@@ -109,7 +104,7 @@ def stratum_sum_brute(table: CharacterTable, d: int, alpha: int, s: FieldElement
                       m: Point) -> Cyclotomic:
     """sum over x in N_alpha of chi(s ||x|| - m.x), by direct enumeration."""
     f = table.field
-    _check_field(table, s)
+    _check_field(f, s)
     mi = point_indices(f, d, m)
     row, dot, add, neg, trace = f._mul[s.index], f.dot, f._add, f._neg, f._trace
     counts = Counter(trace[add[row[dot(x.idx, x.idx)]][neg[dot(mi, x.idx)]]]
@@ -125,7 +120,7 @@ def lemma31_sum(table: CharacterTable, d: int, alpha: int, s: FieldElement,
     s = 0 it contributes (q-1)^{Z(m_I)} (-1)^{|I| - Z(m_I)}.  The empty
     subset (alpha = d) contributes 1 in both branches.
     """
-    _check_field(table, s)
+    _check_field(table.field, s)
     point_indices(table.field, d, m)
     if not 0 <= alpha <= d:
         raise ValueError(f"alpha must lie in [0, {d}], got {alpha}")
@@ -152,7 +147,7 @@ def a_term(table: CharacterTable, m: Point, t: FieldElement, k: int) -> Cyclotom
     """
     f = table.field
     d, _ = point_dim_indices(f, m)
-    _check_field(table, t)
+    _check_field(f, t)
     if t.is_zero:
         raise ValueError("A(m, t) is defined only for t != 0")
     check_k(k, d)
@@ -179,25 +174,26 @@ def b_term(field: Field, m: Point, k: int) -> int:
     return b_term_alpha_range(field, m, 0, k - 1)
 
 
-def sphere_ft(table: CharacterTable, m: Point, spec: SphereSpec,
+def sphere_ft(table: CharacterTable, m: Point, t: FieldElement, k: int,
               mode: str = "closed") -> Cyclotomic:
-    """Fourier coefficient of the sphere indicator at frequency m.
+    """Fourier coefficient of the indicator of the sphere {x : ||x||_k = t}
+    at frequency m.
 
     mode="brute" sums chi(-x.m) over the sphere; mode="closed" evaluates
     q^{-d-1} (A(m,t) + B(m)) and requires t != 0.
     """
     f = table.field
     d, mi = point_dim_indices(f, m)
-    check_k(spec.k, d)
-    _check_field(table, spec.t)
+    check_k(k, d)
+    _check_field(f, t)
     if mode == "brute":
         dot, trace, neg = f.dot, f._trace, f._neg
-        pts = sphere_points(f, d, spec.k, spec.t)
+        pts = sphere_points(f, d, k, t)
         counts = Counter(trace[neg[dot(x.idx, mi)]] for x in pts)
         return Cyclotomic.from_counts(f.p, counts) * Fraction(1, f.q**d)
     if mode != "closed":
         raise ValueError(f"mode must be 'closed' or 'brute', got {mode!r}")
-    if spec.t.is_zero:
+    if t.is_zero:
         raise ValueError("the closed form is valid only for t != 0; use mode='brute'")
-    total = a_term(table, m, spec.t, spec.k) + b_term(f, m, spec.k)
+    total = a_term(table, m, t, k) + b_term(f, m, k)
     return total * Fraction(1, f.q ** (d + 1))

@@ -29,7 +29,7 @@ from .cyclotomic import Cyclotomic
 from .distance import (bounds, distance_set, nu_direct_all, nu_spectral,
                        sharpness_example)
 from .fourier import PointSet, spectral_energy
-from .geometry import SphereSpec, sphere_ft
+from .geometry import check_k, sphere_ft
 from .gf import (Field, Point, enumerate_vectors, factor_prime_power, make_field,
                  point_from_index, space_size, within_cap)
 
@@ -67,8 +67,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not 1 <= self.k <= self.d:
-            raise ValueError(f"k must lie in [1, {self.d}]")
+        check_k(self.k, self.d)
 
     @property
     def threshold_exponent(self) -> float:
@@ -255,7 +254,6 @@ def cmd_sphere_ft(args) -> tuple[dict, list[dict], int]:
     field = _resolve_field(args)
     table = character_table(field)
     t = field.element(args.t)
-    spec = SphereSpec(args.k, t)
     if args.mode != "brute" and t.is_zero:
         raise ValueError(f"--mode {args.mode} requires t != 0; use --mode brute")
     if args.m is not None:
@@ -274,10 +272,10 @@ def cmd_sphere_ft(args) -> tuple[dict, list[dict], int]:
         if args.mode in ("closed", "both"):
             key = m.square_class()
             if key not in closed:
-                closed[key] = cyclo_strings(sphere_ft(table, m, spec, "closed"))
+                closed[key] = cyclo_strings(sphere_ft(table, m, t, args.k, "closed"))
             rec["closed"] = closed[key]
         if args.mode in ("brute", "both"):
-            rec["brute"] = cyclo_strings(sphere_ft(table, m, spec, "brute"))
+            rec["brute"] = cyclo_strings(sphere_ft(table, m, t, args.k, "brute"))
         if args.mode == "both":
             rec["equal"] = rec["closed"] == rec["brute"]
             mismatches += 0 if rec["equal"] else 1
@@ -433,21 +431,20 @@ def cmd_threshold_sweep(args) -> tuple[dict, list[dict], int]:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser, *, need_d: bool = False,
-                need_k: bool = False, sampled: bool = False) -> None:
+def _add_common(sub: argparse.ArgumentParser, *, need_dk: bool = False,
+                sampled: bool = False) -> None:
     sub.add_argument("--p", type=int)
     sub.add_argument("--s", type=int, default=None)
     sub.add_argument("--q", type=int)
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     sub.add_argument("--out", type=str, default=None)
     sub.add_argument("--config", type=str, default=None,
                      help="JSON file supplying any of the flags by name")
-    if need_d:
+    if need_dk:
         sub.add_argument("--d", type=int, required=False)
-    if need_k:
         sub.add_argument("--k", type=int, required=False)
     if sampled:
+        sub.add_argument("--seed", type=int, default=0)
         sub.add_argument("--size", type=int, default=None)
         sub.add_argument("--trial", type=int, default=0)
         sub.add_argument("--use-sharpness", action="store_true")
@@ -473,32 +470,33 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify_identities)
 
     sp = subs.add_parser("sphere-ft", help="sphere Fourier transform, closed and/or brute")
-    _add_common(sp, need_d=True, need_k=True)
+    _add_common(sp, need_dk=True)
     sp.add_argument("--t", type=int, required=False)
     sp.add_argument("--m", type=str, default=None, help='frequency "c1,...,cd" (element indices)')
     sp.add_argument("--mode", choices=("closed", "brute", "both"), default="both")
     sp.set_defaults(func=cmd_sphere_ft)
 
     sp = subs.add_parser("distance-set", help="k-distance set of a sampled point set")
-    _add_common(sp, need_d=True, need_k=True, sampled=True)
+    _add_common(sp, need_dk=True, sampled=True)
     sp.set_defaults(func=cmd_distance_set)
 
     sp = subs.add_parser("nu", help="pair counts, direct vs spectral")
-    _add_common(sp, need_d=True, need_k=True, sampled=True)
+    _add_common(sp, need_dk=True, sampled=True)
     sp.add_argument("--t", type=int, default=None)
     sp.set_defaults(func=cmd_nu)
 
     sp = subs.add_parser("bounds", help="A-part bound and B-decomposition diagnostics")
-    _add_common(sp, need_d=True, need_k=True, sampled=True)
+    _add_common(sp, need_dk=True, sampled=True)
     sp.add_argument("--t", type=int, default=1)
     sp.set_defaults(func=cmd_bounds)
 
     sp = subs.add_parser("sharpness", help="the degenerate axis-aligned example")
-    _add_common(sp, need_d=True, need_k=True)
+    _add_common(sp, need_dk=True)
     sp.set_defaults(func=cmd_sharpness)
 
     sp = subs.add_parser("threshold-sweep", help="coverage sweep over |E| sizes")
-    _add_common(sp, need_d=True, need_k=True)
+    _add_common(sp, need_dk=True)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--C", type=str, default="4", help="threshold multiplier (rational)")
     sp.add_argument("--trials", type=int, default=1)
     sp.add_argument("--sizes", type=str, default="auto",

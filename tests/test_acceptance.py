@@ -21,7 +21,7 @@ from ffdist.distance import (_SpectralSummary, _m_weights,
                              alternating_binomial_sum, bounds, distance_set,
                              nu_direct_all, nu_spectral, sharpness_example)
 from ffdist.fourier import PointSet, spectral_energy
-from ffdist.geometry import (SphereSpec, lemma31_sum, sphere_ft,
+from ffdist.geometry import (lemma31_sum, sphere_ft,
                              stratum_sum_brute)
 from ffdist.gf import (Point, enumerate_vectors, factor_prime_power,
                        make_field, point_from_index)
@@ -184,10 +184,9 @@ def test_criterion_5_sphere_transform():
         ms = enumerate_vectors(f, d)
         for k in range(1, d + 1):
             for radius in f.elements[1:]:
-                spec = SphereSpec(k, radius)
                 for m in ms:
-                    ok &= sphere_ft(t, m, spec, "closed") == \
-                        sphere_ft(t, m, spec, "brute")
+                    ok &= sphere_ft(t, m, radius, k, "closed") == \
+                        sphere_ft(t, m, radius, k, "brute")
     ok &= elapsed_ok(start, 600)
     report(5, "sphere transform closed form", ok)
 
@@ -306,7 +305,7 @@ def test_criterion_12_square_class_certificate():
             summary = _SpectralSummary(table, d, ((m, 1),))
             for k in range(1, d + 1):
                 for t in f.elements:
-                    brute = sphere_ft(table, m, SphereSpec(k, t), "brute")
+                    brute = sphere_ft(table, m, t, k, "brute")
                     ok &= summary.count(t, k) == brute * q ** (2 * d)
             ok &= _m_weights(q, m)[1] == 0
     ok &= elapsed_ok(start, 120)

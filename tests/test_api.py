@@ -63,9 +63,8 @@ def test_tracer_runs_the_spectral_layers():
             distance.nu_spectral(E, t, 1, table, energy)
         distance.bounds(E, f.one, 2, table, energy)
         m = gf.Point(f, (1, 2))
-        spec = geometry.SphereSpec(2, f.one)
-        assert (geometry.sphere_ft(table, m, spec, "closed")
-                == geometry.sphere_ft(table, m, spec, "brute"))
+        assert (geometry.sphere_ft(table, m, f.one, 2, "closed")
+                == geometry.sphere_ft(table, m, f.one, 2, "brute"))
         fourier.inverse_dft(f, 2, fourier.dft_indicator(E))
         characters.gauss_sum(table, f.one)
         characters.kloosterman(table, f.one, f.elements[2])

@@ -4,11 +4,12 @@ from collections import Counter
 
 import pytest
 
-from ffdist import characters
+from ffdist import characters, distance, geometry
 from ffdist.characters import (character_table, gauss_closed_form,
                                gauss_identities, gauss_sum, kloosterman,
                                run_identity_checks)
 from ffdist.cyclotomic import Cyclotomic
+from ffdist.fourier import PointSet
 from ffdist.gf import Point, enumerate_vectors, factor_prime_power, make_field
 
 SUM_ORDERS = [3, 5, 9, 25, 27, 49]
@@ -243,3 +244,33 @@ def test_identity_battery_passes():
     assert all(c.passed for c in checks)
     names = {c.name for c in checks}
     assert {"gauss_square", "weil_bound", "gauss_identities"} <= names
+
+
+_GF5 = table_for(5)
+_F5 = _GF5.field
+_M = Point(_F5, (1, 2))
+_E = PointSet(_F5, 2, [_M, Point(_F5, (0, 1))])
+
+
+@pytest.mark.parametrize("call,bad", [
+    (lambda: gauss_sum(_GF5, 2), 2),
+    (lambda: gauss_sum(_GF5, None), None),
+    (lambda: kloosterman(_GF5, 2, 3), 2),
+    (lambda: kloosterman(_GF5, _F5.one, 3), 3),
+    (lambda: gauss_identities(_GF5, 2, _F5.one, _M), 2),
+    (lambda: gauss_identities(_GF5, _F5.one, 2, _M), 2),
+    (lambda: geometry.a_term(_GF5, _M, 2, 1), 2),
+    (lambda: geometry.stratum_sum_brute(_GF5, 2, 0, 2, _M), 2),
+    (lambda: geometry.lemma31_sum(_GF5, 2, 0, 2, _M), 2),
+    (lambda: geometry.sphere_ft(_GF5, _M, 2, 1, "closed"), 2),
+    (lambda: geometry.sphere_ft(_GF5, _M, 2, 1, "brute"), 2),
+    (lambda: distance.nu_spectral(_E, 2, 1), 2),
+    (lambda: distance.bounds(_E, 2, 1), 2),
+], ids=["gauss_sum-int", "gauss_sum-None", "kloosterman-a", "kloosterman-b",
+        "gauss_identities-a", "gauss_identities-b", "a_term", "stratum_sum_brute",
+        "lemma31_sum", "sphere_ft-closed", "sphere_ft-brute", "nu_spectral", "bounds"])
+def test_non_element_refused(call, bad):
+    # _check_field is the one test of an element argument; these used to
+    # raise AttributeError on bad.field or bad.is_zero
+    with pytest.raises(ValueError, match=rf"^{bad} is not an element of GF\(5\)$"):
+        call()

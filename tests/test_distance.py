@@ -15,8 +15,8 @@ from ffdist.distance import (BoundReport, _distance_indices,
                              nu_direct_all, nu_spectral, sharpness_example)
 from ffdist.fourier import (PointSet, dft_indicator, plancherel_check,
                             spectral_energy)
-from ffdist.geometry import (SphereSpec, a_term, b_term, b_term_alpha_range,
-                             k_norm, sphere_ft)
+from ffdist.geometry import (a_term, b_term, b_term_alpha_range, k_norm,
+                             sphere_ft)
 from ffdist.gf import (Point, enumerate_vectors, factor_prime_power, make_field,
                        point_from_index)
 
@@ -196,12 +196,11 @@ def _a_contrib(table, E, t, k, energy):
 
 def _reference_nu_spectral(E, t, k, table, energy):
     f = E.field
-    spec = SphereSpec(k, t)
     mode = "brute" if t.is_zero else "closed"
     total = Cyclotomic.zero(f.p)
     for m, e in energy.items():
         if e:
-            total = total + sphere_ft(table, m, spec, mode) * e
+            total = total + sphere_ft(table, m, t, k, mode) * e
     return (total * (f.q ** (2 * E.d))).rational_value()
 
 

@@ -7,10 +7,11 @@ from ffdist import distance, geometry
 from ffdist.characters import character_table
 from ffdist.cyclotomic import Cyclotomic
 from ffdist.fourier import PointSet
-from ffdist.geometry import (SphereSpec, a_term, b_term, k_norm, lemma31_sum,
-                             sphere_ft, sphere_points, stratum, stratum_sum_brute)
+from ffdist.geometry import (a_term, b_term, k_norm, lemma31_sum, sphere_ft,
+                             sphere_points, stratum, stratum_sum_brute)
 from ffdist.gf import (Point, enumerate_vectors, factor_prime_power,
                        make_field, point_from_index)
+from ffdist.harness import ExperimentConfig
 
 
 def setup_q(q):
@@ -54,15 +55,42 @@ class TestKNorm:
             lambda: b_term(f, m, k),
             lambda: a_term(table, m, f.one, k),
             lambda: sphere_points(f, 2, k, f.one),
-            lambda: sphere_ft(table, m, SphereSpec(k, f.one), "brute"),
+            lambda: sphere_ft(table, m, f.one, k, "brute"),
             lambda: distance.distance_set(E, k),
             lambda: distance.nu_spectral(E, f.one, k),
             lambda: distance.sharpness_example(f, 2, k),
+            lambda: ExperimentConfig(d=2, k=k),
         ]
         for call in calls:
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value) == f"k must lie in [1, 2], got {k}"
+
+    @pytest.mark.parametrize("k", [1.0, 2.0, "1", None])
+    def test_non_int_k_refused(self, k):
+        # a float k used to raise TypeError on the direct routes and return a
+        # count on the spectral one; sphere_points refuses it on a warm cache
+        f, table = setup_q(3)
+        m = Point(f, (1, 2))
+        E = PointSet(f, 2, [m, Point(f, (0, 1))])
+        sphere_points(f, 2, 1, f.one)
+        calls = [
+            lambda: k_norm(m, k),
+            lambda: b_term(f, m, k),
+            lambda: a_term(table, m, f.one, k),
+            lambda: sphere_points(f, 2, k, f.one),
+            lambda: sphere_ft(table, m, f.one, k, "brute"),
+            lambda: distance.distance_set(E, k),
+            lambda: distance.nu_direct_all(E, k),
+            lambda: distance.nu_spectral(E, f.one, k),
+            lambda: distance.bounds(E, f.one, k),
+            lambda: distance.sharpness_example(f, 2, k),
+            lambda: ExperimentConfig(d=2, k=k),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"k must be an int, got {k!r}"
 
 
 class TestStrataAndSlices:
@@ -98,6 +126,16 @@ class TestSpheres:
     def test_degenerate_radius_zero(self):
         f = make_field(3)
         assert len(sphere_points(f, 2, 1, f.zero)) == 5
+
+    def test_foreign_radius_refused_and_not_cached(self):
+        # an int or a GF(7) radius used to give an empty sphere, kept in the cache
+        f = make_field(5)
+        size = sphere_points.cache_info().currsize
+        with pytest.raises(ValueError, match=r"^3 is not an element of GF\(5\)$"):
+            sphere_points(f, 2, 1, 3)
+        with pytest.raises(ValueError, match="^elements belong to different fields$"):
+            sphere_points(f, 2, 1, make_field(7).element(3))
+        assert sphere_points.cache_info().currsize == size
 
     @pytest.mark.parametrize("q,d", [(3, 2), (3, 3), (5, 2), (9, 2)])
     def test_spheres_partition_space(self, q, d):
@@ -163,7 +201,7 @@ class TestStratumSums:
                 with pytest.raises(ValueError, match="does not belong"):
                     stratum_sum(table, d, 0, f.one, m)
         with pytest.raises(ValueError, match="does not belong"):
-            sphere_ft(table, other, SphereSpec(1, f.one), "brute")
+            sphere_ft(table, other, f.one, 1, "brute")
 
     def test_seeded_larger_field(self):
         f, table = setup_q(9)
@@ -192,7 +230,7 @@ class TestSphereTransform:
     def test_closed_rejects_zero_radius(self):
         f, table = setup_q(3)
         with pytest.raises(ValueError):
-            sphere_ft(table, Point(f, (0, 0)), SphereSpec(2, f.zero), "closed")
+            sphere_ft(table, Point(f, (0, 0)), f.zero, 2, "closed")
 
     def test_foreign_m_and_t_rejected(self):
         # both routes read m's coordinates and t's index as ones of the
@@ -202,10 +240,10 @@ class TestSphereTransform:
         m, foreign_m = Point(f, (1, 2)), Point(f7, (1, 2))
         for mode in ("closed", "brute"):
             with pytest.raises(ValueError, match=r"does not belong to GF\(5\)\^2$"):
-                sphere_ft(table, foreign_m, SphereSpec(1, f.one), mode)
+                sphere_ft(table, foreign_m, f.one, 1, mode)
             for t in (f7.zero, f7.one, f7.element(6)):
                 with pytest.raises(ValueError, match="^elements belong to different fields$"):
-                    sphere_ft(table, m, SphereSpec(1, t), mode)
+                    sphere_ft(table, m, t, 1, mode)
         for bad in (foreign_m, Point(f7, (6, 5))):
             with pytest.raises(ValueError, match=r"does not belong to GF\(5\)\^2$"):
                 a_term(table, bad, f.one, 1)
@@ -221,7 +259,7 @@ class TestSphereTransform:
         for bad in ((1, 2), [1, 2], None):
             for mode in ("closed", "brute"):
                 with pytest.raises(ValueError, match=r"does not belong to GF\(5\)\^d$"):
-                    sphere_ft(table, bad, SphereSpec(1, f.one), mode)
+                    sphere_ft(table, bad, f.one, 1, mode)
             with pytest.raises(ValueError, match=r"does not belong to GF\(5\)\^d$"):
                 a_term(table, bad, f.one, 1)
             with pytest.raises(ValueError, match=r"does not belong to GF\(5\)\^d$"):
@@ -243,40 +281,38 @@ class TestSphereTransform:
     def test_brute_dc_value(self):
         f, table = setup_q(3)
         m = Point(f, (0, 0))
-        assert sphere_ft(table, m, SphereSpec(2, f.element(1)), "brute") == Fraction(4, 9)
-        assert sphere_ft(table, m, SphereSpec(1, f.element(1)), "brute") == 0
+        assert sphere_ft(table, m, f.element(1), 2, "brute") == Fraction(4, 9)
+        assert sphere_ft(table, m, f.element(1), 1, "brute") == 0
 
     def test_closed_matches_brute_examples(self):
         f, table = setup_q(3)
         m = Point(f, (0, 0))
         for k in (1, 2):
-            spec = SphereSpec(k, f.element(1))
-            assert sphere_ft(table, m, spec, "closed") == sphere_ft(table, m, spec, "brute")
+            t = f.element(1)
+            assert sphere_ft(table, m, t, k, "closed") == sphere_ft(table, m, t, k, "brute")
 
     def test_bad_mode(self):
         f, table = setup_q(3)
         with pytest.raises(ValueError):
-            sphere_ft(table, Point(f, (0, 0)), SphereSpec(2, f.element(1)), "fast")
+            sphere_ft(table, Point(f, (0, 0)), f.element(1), 2, "fast")
 
     @pytest.mark.parametrize("q,d", [(3, 2), (3, 3), (5, 2)])
     def test_closed_equals_brute_exhaustive(self, q, d):
         f, table = setup_q(q)
         for k in range(1, d + 1):
             for t in f.elements[1:]:
-                spec = SphereSpec(k, t)
                 for m in enumerate_vectors(f, d):
-                    assert sphere_ft(table, m, spec, "closed") == \
-                        sphere_ft(table, m, spec, "brute")
+                    assert sphere_ft(table, m, t, k, "closed") == \
+                        sphere_ft(table, m, t, k, "brute")
 
     def test_closed_consistent_with_transform_definition(self):
         # q^{-d-1}(A + B) against the generic DFT of the sphere indicator
         from ffdist.fourier import dft_indicator
         f, table = setup_q(5)
-        spec = SphereSpec(2, f.element(2))
         pts = sphere_points(f, 2, 2, f.element(2))
         ft = dft_indicator(pts)
         for m in enumerate_vectors(f, 2):
-            assert sphere_ft(table, m, spec, "closed") == ft[m]
+            assert sphere_ft(table, m, f.element(2), 2, "closed") == ft[m]
 
 
 class TestSquareClassInvariance:
@@ -291,15 +327,14 @@ class TestSquareClassInvariance:
             first.setdefault(m.square_class(), m)
         for k in range(1, d + 1):
             for t in f.elements:
-                spec = SphereSpec(k, t)
                 for m in enumerate_vectors(f, d):
                     rep = first[m.square_class()]
-                    assert sphere_ft(table, m, spec, "brute") == \
-                        sphere_ft(table, rep, spec, "brute")
+                    assert sphere_ft(table, m, t, k, "brute") == \
+                        sphere_ft(table, rep, t, k, "brute")
                     if t.is_zero:
                         continue
-                    assert sphere_ft(table, m, spec, "closed") == \
-                        sphere_ft(table, rep, spec, "closed")
+                    assert sphere_ft(table, m, t, k, "closed") == \
+                        sphere_ft(table, rep, t, k, "closed")
 
     def test_each_member_evaluated_from_its_own_coordinates(self, monkeypatch):
         # on a shared table, a class member gets its own evaluation, not the
@@ -312,11 +347,10 @@ class TestSquareClassInvariance:
             seen.append(m.idx)
             return quadratic(table, s, m)
         monkeypatch.setattr(geometry, "_quadratic_factors", recording)
-        spec = SphereSpec(2, f.one)
         rep, other = Point(f, (1, 2)), Point(f, (4, 3))
         assert rep.square_class() == other.square_class()
-        value = sphere_ft(table, rep, spec, "closed")
+        value = sphere_ft(table, rep, f.one, 2, "closed")
         assert seen == [rep.idx] * (f.q - 1)
         seen.clear()
-        assert sphere_ft(table, other, spec, "closed") == value
+        assert sphere_ft(table, other, f.one, 2, "closed") == value
         assert seen == [other.idx] * (f.q - 1)

@@ -416,6 +416,50 @@ class TestConfigFile:
         assert out.startswith("q,p,s,d,k,t,size,trial,metric,value")
 
 
+class TestSeedFlag:
+    """--seed belongs to the four subcommands that read it."""
+
+    UNSEEDED = [
+        ["verify-identities", "--q", "3"],
+        ["sphere-ft", "--q", "3", "--d", "2", "--k", "1", "--t", "1"],
+        ["sharpness", "--q", "3", "--d", "2", "--k", "1"],
+    ]
+    SEEDED = [
+        ["distance-set", "--q", "5", "--d", "2", "--k", "1", "--size", "8"],
+        ["nu", "--q", "3", "--d", "2", "--k", "2", "--size", "5"],
+        ["bounds", "--q", "5", "--d", "2", "--k", "2", "--size", "6", "--t", "2"],
+        ["threshold-sweep", "--q", "3", "--d", "2", "--k", "1", "--trials", "3"],
+    ]
+
+    @pytest.mark.parametrize("argv", UNSEEDED)
+    def test_seed_flag_refused(self, argv, capsys):
+        assert main(argv + ["--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", UNSEEDED)
+    def test_seed_config_field_refused(self, argv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1}))
+        assert main(argv + ["--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown config field 'seed'\n"
+
+    @pytest.mark.parametrize("argv", SEEDED)
+    def test_seed_read_from_argv_and_config(self, argv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 7}))
+        code, out = run_cli(argv + ["--seed", "7"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload.get("seed", payload.get("config", {}).get("seed")) == 7
+        assert run_cli(argv + ["--config", str(cfg)], capsys) == (code, out)
+        assert run_cli(argv, capsys)[1] != out
+
+
 class TestCrossCheck:
     # at seed 3 the 5% spectral cross-check fires on the one trial of size 4
     ARGV = ["threshold-sweep", "--q", "3", "--d", "2", "--k", "1",

@@ -42,11 +42,11 @@ def test_at_most_one_point_call_per_sum(q, d, counted):
     E = fourier.PointSet(f, d, pts[1::3])
     g = {x: Cyclotomic.root(f.p, 1) for x in pts[::4]}
     ms = pts[::5]
-    specs = [geometry.SphereSpec(k, t) for k in range(1, d + 1) for t in f.elements]
+    specs = [(t, k) for k in range(1, d + 1) for t in f.elements]
     s = f.elements[2]
     # warm the per-set caches: sphere_points and stratum
-    for spec in specs:
-        geometry.sphere_ft(table, ms[0], spec, "brute")
+    for t, k in specs:
+        geometry.sphere_ft(table, ms[0], t, k, "brute")
     for alpha in range(d + 1):
         geometry.stratum_sum_brute(table, d, alpha, s, ms[0])
     fhat = fourier.dft(f, d, g)
@@ -57,8 +57,8 @@ def test_at_most_one_point_call_per_sum(q, d, counted):
         lambda: fourier.dft_indicator(E),
         lambda: fourier.dft(f, d, g),
         lambda: fourier.inverse_dft(f, d, fhat),
-        *(lambda m=m, spec=spec: geometry.sphere_ft(table, m, spec, "brute")
-          for m in ms for spec in specs),
+        *(lambda m=m, t=t, k=k: geometry.sphere_ft(table, m, t, k, "brute")
+          for m in ms for t, k in specs),
         *(lambda m=m, alpha=alpha: geometry.stratum_sum_brute(table, d, alpha, s, m)
           for m in ms for alpha in range(d + 1)),
         *(lambda a=a, b=b: characters.gauss_identities(
