@@ -61,24 +61,32 @@ from fractions import Fraction
 from itertools import accumulate, combinations, repeat
 from typing import Optional
 
-from .characters import CharacterTable, _check_field, character_table
+from .characters import CharacterTable, _check_field, _table_field, character_table
 from .cyclotomic import Cyclotomic, common_denominator, convolve, rotated
 from .fourier import PointSet, spectral_energy
 from .gf import Field, FieldElement, Point, enumerate_vectors, point_indices
 from .geometry import _elementary_symmetric, _zero_pattern_factors, check_k
 
 
+def _check_set(E: PointSet) -> None:
+    """Raise ValueError unless E is a PointSet."""
+    if not isinstance(E, PointSet):
+        raise ValueError(f"{E!r} is not a PointSet")
+
+
 def distance_set(E: PointSet, k: int) -> list[FieldElement]:
     """D_k(E) = {||x - y||_k : x, y in E}, sorted by element index."""
+    _check_set(E)
     if len(E) == 0:
         raise ValueError("distance set of an empty set is undefined")
     found = _distance_indices(E, k)
     return [E.field.elements[i] for i in sorted(found)]
 
 
-def _k_norm_states(field: Field, d: int, k: int) -> tuple[list, list[int]]:
+def _k_norm_states(field: Field, k: int) -> tuple[list, list[int]]:
     """The transition table step and the read-out final of the k-norm state
-    machine over GF(q)^d (see _k_norm_rows), built from the field's tables.
+    machine over GF(q) (see _k_norm_rows), built from the field's tables; it
+    serves every d >= k.
 
     State acc + q z holds the running sum of squares acc while z < k of the
     coordinates seen so far are zero; the one dead state q k means at least
@@ -86,12 +94,10 @@ def _k_norm_states(field: Field, d: int, k: int) -> tuple[list, list[int]]:
     one more coordinate difference of index c: for c != 0 the column is the
     add row of c^2 (add is symmetric) shifted by q z on each level, and for
     c = 0 it moves one level up, or to the dead state from the last level.
-    At k = d the states are the sums alone, and step[c] is the add row of
-    c^2 itself: a zero coordinate adds 0, and d zeros leave the sum 0.
+    At k = d the dead state holds exactly the pairs with d zero differences,
+    and its read-out 0 is their sum of squares.
     """
     q, add, mul = field.q, field._add, field._mul
-    if k == d:
-        return [add[mul[c][c]] for c in range(q)], list(range(q))
     dead = q * k
     step = [list(range(q, dead)) + [dead] * (q + 1)]
     for c in range(1, q):
@@ -123,7 +129,7 @@ def _k_norm_rows(E: PointSet, k: int):
         yield from [[0]] * len(pts)
         return
     add, neg, get = f._add, f._neg, operator.itemgetter
-    step, final = _k_norm_states(f, E.d, k)
+    step, final = _k_norm_states(f, k)
     first = [column[0] for column in step]
     # per coordinate i, one getter that reads a row at -y_i for every y
     minus_y0, *minus_y = [get(*[neg[y[i]] for y in pts]) for i in range(E.d)]
@@ -146,6 +152,7 @@ def _distance_indices(E: PointSet, k: int) -> set[int]:
 
 def nu_direct_all(E: PointSet, k: int) -> Counter:
     """nu_E(t) for every t at once, by direct pair counting (index -> count)."""
+    _check_set(E)
     counts: Counter = Counter({i: 0 for i in range(E.field.q)})
     for row in _k_norm_rows(E, k):
         counts.update(row)
@@ -393,11 +400,12 @@ def _spectral_summary(E: PointSet, t: FieldElement, k: int,
     reused when it was built from equal contents; Point equality implies
     the same field and d, so a reused slot needs no key check.
     """
+    _check_set(E)
     f = E.field
     _check_field(f, t)
     if table is None:
         table = character_table(f)
-    if table.field is not f:
+    if _table_field(table) is not f:
         raise ValueError("elements belong to different fields")
     if nonzero_t and t.is_zero:
         raise ValueError("bounds are defined for t != 0")

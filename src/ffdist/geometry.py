@@ -27,19 +27,24 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Sequence
 
-from .characters import CharacterTable, _check_field
+from .characters import CharacterTable, _check_field, _table_field
 from .cyclotomic import Cyclotomic
 from .fourier import PointSet
 from .gf import (Field, FieldElement, Point, enumerate_vectors, point_dim_indices,
                  point_indices)
 
 
+def _check_range(name: str, value: int, lo: int, hi: int) -> None:
+    """Raise ValueError unless value is an int with lo <= value <= hi."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
+
+
 def check_k(k: int, d: int) -> None:
     """Raise ValueError unless k is an int with 1 <= k <= d."""
-    if not isinstance(k, int):
-        raise ValueError(f"k must be an int, got {k!r}")
-    if not 1 <= k <= d:
-        raise ValueError(f"k must lie in [1, {d}], got {k}")
+    _check_range("k", k, 1, d)
 
 
 def k_norm(x: Point, k: int) -> FieldElement:
@@ -52,11 +57,10 @@ def k_norm(x: Point, k: int) -> FieldElement:
     return x.field.zero
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: alpha = 1.0 must not hit alpha = 1
 def stratum(field: Field, d: int, alpha: int) -> PointSet:
     """N_alpha: points with exactly alpha zero coordinates."""
-    if not 0 <= alpha <= d:
-        raise ValueError(f"alpha must lie in [0, {d}], got {alpha}")
+    _check_range("alpha", alpha, 0, d)
     pts = [x for x in enumerate_vectors(field, d) if x.zero_count() == alpha]
     return PointSet(field, d, pts)
 
@@ -103,7 +107,7 @@ def _quadratic_factors(table: CharacterTable, s: FieldElement, m: Point) -> list
 def stratum_sum_brute(table: CharacterTable, d: int, alpha: int, s: FieldElement,
                       m: Point) -> Cyclotomic:
     """sum over x in N_alpha of chi(s ||x|| - m.x), by direct enumeration."""
-    f = table.field
+    f = _table_field(table)
     _check_field(f, s)
     mi = point_indices(f, d, m)
     row, dot, add, neg, trace = f._mul[s.index], f.dot, f._add, f._neg, f._trace
@@ -120,18 +124,17 @@ def lemma31_sum(table: CharacterTable, d: int, alpha: int, s: FieldElement,
     s = 0 it contributes (q-1)^{Z(m_I)} (-1)^{|I| - Z(m_I)}.  The empty
     subset (alpha = d) contributes 1 in both branches.
     """
-    _check_field(table.field, s)
-    point_indices(table.field, d, m)
-    if not 0 <= alpha <= d:
-        raise ValueError(f"alpha must lie in [0, {d}], got {alpha}")
-    p = table.field.p
+    f = _table_field(table)
+    _check_field(f, s)
+    point_indices(f, d, m)
+    _check_range("alpha", alpha, 0, d)
     if s.is_zero:
-        factors: Sequence = _zero_pattern_factors(table.field, m)
+        factors: Sequence = _zero_pattern_factors(f, m)
     else:
         factors = _quadratic_factors(table, s, m)
     # e_j is an int for s = 0 and for the empty subset; adding zero makes
     # every e_j a Cyclotomic
-    return Cyclotomic.zero(p) + _elementary_symmetric(factors)[d - alpha]
+    return Cyclotomic.zero(f.p) + _elementary_symmetric(factors)[d - alpha]
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +148,7 @@ def a_term(table: CharacterTable, m: Point, t: FieldElement, k: int) -> Cyclotom
     factors, rotated by Tr(-s t).  No memo: every call starts from m's own
     coordinates.
     """
-    f = table.field
+    f = _table_field(table)
     d, _ = point_dim_indices(f, m)
     _check_field(f, t)
     if t.is_zero:
@@ -163,6 +166,8 @@ def a_term(table: CharacterTable, m: Point, t: FieldElement, k: int) -> Cyclotom
 def b_term_alpha_range(field: Field, m: Point, alpha_lo: int, alpha_hi: int) -> int:
     """sum over alpha in [alpha_lo, alpha_hi] of the s = 0 subset sums."""
     d, _ = point_dim_indices(field, m)
+    for alpha in (alpha_lo, alpha_hi):
+        _check_range("alpha", alpha, 0, d)
     es = _elementary_symmetric(_zero_pattern_factors(field, m))
     return sum(es[d - alpha] for alpha in range(alpha_lo, alpha_hi + 1))
 
@@ -182,7 +187,7 @@ def sphere_ft(table: CharacterTable, m: Point, t: FieldElement, k: int,
     mode="brute" sums chi(-x.m) over the sphere; mode="closed" evaluates
     q^{-d-1} (A(m,t) + B(m)) and requires t != 0.
     """
-    f = table.field
+    f = _table_field(table)
     d, mi = point_dim_indices(f, m)
     check_k(k, d)
     _check_field(f, t)

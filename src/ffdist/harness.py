@@ -12,9 +12,9 @@ Exit codes: 0 all checks pass, 1 an identity/equality check failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
-import io
 import json
 import math
 import random
@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .characters import character_table, run_identity_checks
 from .cyclotomic import Cyclotomic
@@ -203,15 +203,15 @@ def _row(field: Field, metric: str, value, *, d="", k="", t="", size="", trial="
             "size": size, "trial": trial, "metric": metric, "value": value}
 
 
-def render_output(payload: dict, rows: list[dict], fmt: str) -> str:
+def write_output(payload: dict, rows: Iterable[dict], fmt: str, fh) -> None:
+    """Encode payload (json) or rows (csv) into fh as it is written."""
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    else:
+        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +219,7 @@ def render_output(payload: dict, rows: list[dict], fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 def _resolve_field(args) -> Field:
-    if args.q is not None:
-        p, s = factor_prime_power(args.q)
-    elif args.p is not None:
-        p, s = args.p, 1 if args.s is None else args.s
-    else:
-        raise ValueError("specify the field via --q or --p/--s")
-    return make_field(p, s)
+    return make_field(*factor_prime_power(args.q))
 
 
 def _sample_or_sharpness(field: Field, args) -> PointSet:
@@ -236,7 +230,7 @@ def _sample_or_sharpness(field: Field, args) -> PointSet:
     return sample_set(field, args.d, args.size, args.seed, args.trial)
 
 
-def cmd_verify_identities(args) -> tuple[dict, list[dict], int]:
+def cmd_verify_identities(args) -> tuple[dict, Iterable[dict], int]:
     field = _resolve_field(args)
     checks = run_identity_checks(field)
     payload = {
@@ -246,11 +240,11 @@ def cmd_verify_identities(args) -> tuple[dict, list[dict], int]:
                    for c in checks],
         "all_passed": all(c.passed for c in checks),
     }
-    rows = [_row(field, c.name, int(c.passed)) for c in checks]
+    rows = (_row(field, c.name, int(c.passed)) for c in checks)
     return payload, rows, 0 if payload["all_passed"] else 1
 
 
-def cmd_sphere_ft(args) -> tuple[dict, list[dict], int]:
+def cmd_sphere_ft(args) -> tuple[dict, Iterable[dict], int]:
     field = _resolve_field(args)
     table = character_table(field)
     t = field.element(args.t)
@@ -263,8 +257,6 @@ def cmd_sphere_ft(args) -> tuple[dict, list[dict], int]:
     else:
         ms = enumerate_vectors(field, args.d)
     records = []
-    rows = []
-    mismatches = 0
     # the transform is constant on square classes: one closed value per class
     closed: dict = {}
     for m in ms:
@@ -278,13 +270,6 @@ def cmd_sphere_ft(args) -> tuple[dict, list[dict], int]:
             rec["brute"] = cyclo_strings(sphere_ft(table, m, t, args.k, "brute"))
         if args.mode == "both":
             rec["equal"] = rec["closed"] == rec["brute"]
-            mismatches += 0 if rec["equal"] else 1
-            rows.append(_row(field, f"sphere_ft_equal[{','.join(map(str, m.idx))}]",
-                             int(rec["equal"]), d=args.d, k=args.k, t=args.t))
-        else:
-            value = rec.get("closed") or rec.get("brute")
-            rows.append(_row(field, f"sphere_ft_{args.mode}[{','.join(map(str, m.idx))}]",
-                             "|".join(value), d=args.d, k=args.k, t=args.t))
         records.append(rec)
     payload = {
         "command": "sphere-ft",
@@ -292,12 +277,18 @@ def cmd_sphere_ft(args) -> tuple[dict, list[dict], int]:
         "t": args.t, "mode": args.mode,
         "records": records,
     }
-    if args.mode == "both":
-        payload["all_equal"] = mismatches == 0
-    return payload, rows, 0 if mismatches == 0 else 1
+    both = args.mode == "both"
+    if both:
+        payload["all_equal"] = all(rec["equal"] for rec in records)
+    metric = "sphere_ft_" + ("equal" if both else args.mode)
+    rows = (_row(field, f"{metric}[{','.join(map(str, rec['m']))}]",
+                 int(rec["equal"]) if both else "|".join(rec[args.mode]),
+                 d=args.d, k=args.k, t=args.t)
+            for rec in records)
+    return payload, rows, 0 if payload.get("all_equal", True) else 1
 
 
-def cmd_distance_set(args) -> tuple[dict, list[dict], int]:
+def cmd_distance_set(args) -> tuple[dict, Iterable[dict], int]:
     field = _resolve_field(args)
     E = _sample_or_sharpness(field, args)
     dset = [e.index for e in distance_set(E, args.k)]
@@ -308,14 +299,14 @@ def cmd_distance_set(args) -> tuple[dict, list[dict], int]:
         "distances": dset,
         "full": len(dset) == field.q,
     }
-    rows = [_row(field, "distance_count", len(dset), d=args.d, k=args.k,
-                 size=len(E), trial=args.trial),
-            _row(field, "distances", "|".join(map(str, dset)), d=args.d,
-                 k=args.k, size=len(E), trial=args.trial)]
+    rows = (_row(field, metric, value, d=args.d, k=args.k, size=len(E),
+                 trial=args.trial)
+            for metric, value in (("distance_count", len(dset)),
+                                  ("distances", "|".join(map(str, dset)))))
     return payload, rows, 0
 
 
-def cmd_nu(args) -> tuple[dict, list[dict], int]:
+def cmd_nu(args) -> tuple[dict, Iterable[dict], int]:
     field = _resolve_field(args)
     E = _sample_or_sharpness(field, args)
     table = character_table(field)
@@ -323,29 +314,26 @@ def cmd_nu(args) -> tuple[dict, list[dict], int]:
     direct_all = nu_direct_all(E, args.k)
     ts = [field.element(args.t)] if args.t is not None else list(field.elements)
     records = []
-    rows = []
-    failures = 0
     for t in ts:
         direct = direct_all[t.index]
         spectral = nu_spectral(E, t, args.k, table, energy)
-        equal = spectral == direct
-        failures += 0 if equal else 1
         records.append({"q": field.q, "p": field.p, "s": field.s, "d": args.d,
                         "k": args.k, "t": t.index, "size": len(E),
-                        "direct": direct, "spectral": str(spectral), "equal": equal})
-        rows.append(_row(field, "nu_direct", direct, d=args.d, k=args.k,
-                         t=t.index, size=len(E), trial=args.trial))
-        rows.append(_row(field, "nu_spectral", str(spectral), d=args.d, k=args.k,
-                         t=t.index, size=len(E), trial=args.trial))
-        rows.append(_row(field, "nu_equal", int(equal), d=args.d, k=args.k,
-                         t=t.index, size=len(E), trial=args.trial))
+                        "direct": direct, "spectral": str(spectral),
+                        "equal": spectral == direct})
     payload = {"command": "nu", "field": _field_meta(field, args.d, args.k),
                "seed": args.seed, "trial": args.trial, "records": records,
-               "all_equal": failures == 0}
-    return payload, rows, 0 if failures == 0 else 1
+               "all_equal": all(rec["equal"] for rec in records)}
+    rows = (_row(field, metric, value, d=args.d, k=args.k, t=rec["t"],
+                 size=rec["size"], trial=args.trial)
+            for rec in records
+            for metric, value in (("nu_direct", rec["direct"]),
+                                  ("nu_spectral", rec["spectral"]),
+                                  ("nu_equal", int(rec["equal"]))))
+    return payload, rows, 0 if payload["all_equal"] else 1
 
 
-def cmd_bounds(args) -> tuple[dict, list[dict], int]:
+def cmd_bounds(args) -> tuple[dict, Iterable[dict], int]:
     field = _resolve_field(args)
     if args.t == 0:
         raise ValueError("bounds require t != 0")
@@ -360,20 +348,16 @@ def cmd_bounds(args) -> tuple[dict, list[dict], int]:
         "b_m2_zero": report.b_m2 == 0,
         "a_bound_ok": report.a_sum_abs <= report.a_bound * (1 + 1e-6),
     }
-    rows = [
-        _row(field, "a_sum_abs", repr(report.a_sum_abs), d=args.d, k=args.k,
-             t=args.t, size=len(E), trial=args.trial),
-        _row(field, "a_bound", repr(report.a_bound), d=args.d, k=args.k,
-             t=args.t, size=len(E), trial=args.trial),
-        _row(field, "b_sum", str(report.b_sum), d=args.d, k=args.k,
-             t=args.t, size=len(E), trial=args.trial),
-        _row(field, "b_m2", str(report.b_m2), d=args.d, k=args.k,
-             t=args.t, size=len(E), trial=args.trial),
-    ]
+    rows = (_row(field, metric, value, d=args.d, k=args.k, t=args.t,
+                 size=len(E), trial=args.trial)
+            for metric, value in (("a_sum_abs", repr(report.a_sum_abs)),
+                                  ("a_bound", repr(report.a_bound)),
+                                  ("b_sum", str(report.b_sum)),
+                                  ("b_m2", str(report.b_m2))))
     return payload, rows, 0 if payload["b_m2_zero"] and payload["a_bound_ok"] else 1
 
 
-def cmd_sharpness(args) -> tuple[dict, list[dict], int]:
+def cmd_sharpness(args) -> tuple[dict, Iterable[dict], int]:
     field = _resolve_field(args)
     E = sharpness_example(field, args.d, args.k)
     dset = [e.index for e in distance_set(E, args.k)]
@@ -383,13 +367,13 @@ def cmd_sharpness(args) -> tuple[dict, list[dict], int]:
         "field": _field_meta(field, args.d, args.k),
         "size": len(E), "distances": dset, "degenerate": dset == [0],
     }
-    rows = [_row(field, "sharpness_size", len(E), d=args.d, k=args.k),
-            _row(field, "sharpness_distances", "|".join(map(str, dset)),
-                 d=args.d, k=args.k)]
+    rows = (_row(field, metric, value, d=args.d, k=args.k)
+            for metric, value in (("sharpness_size", len(E)),
+                                  ("sharpness_distances", "|".join(map(str, dset)))))
     return payload, rows, 0 if ok else 1
 
 
-def cmd_threshold_sweep(args) -> tuple[dict, list[dict], int]:
+def cmd_threshold_sweep(args) -> tuple[dict, Iterable[dict], int]:
     field = _resolve_field(args)
     sizes = None
     if args.sizes and args.sizes != "auto":
@@ -412,19 +396,19 @@ def cmd_threshold_sweep(args) -> tuple[dict, list[dict], int]:
         "records": [r.as_json() for r in records],
         "summary": summaries,
     }
-    rows = []
-    for r in records:
-        rows.append(_row(field, "full_coverage", int(r.full_coverage), d=r.d,
-                         k=r.k, size=r.size, trial=r.trial))
-        if r.missing_radii:
-            rows.append(_row(field, "missing_radii",
-                             "|".join(map(str, r.missing_radii)), d=r.d, k=r.k,
-                             size=r.size, trial=r.trial))
-    for summ in summaries:
-        rows.append(_row(field, "coverage_fraction",
-                         repr(summ["coverage_fraction"]), d=args.d, k=args.k,
-                         size=summ["size"]))
-    return payload, rows, 0
+
+    def rows():
+        for r in payload["records"]:
+            keys = {"d": r["d"], "k": r["k"], "size": r["size"], "trial": r["trial"]}
+            yield _row(field, "full_coverage", int(r["full_coverage"]), **keys)
+            if r["missing_radii"]:
+                yield _row(field, "missing_radii",
+                           "|".join(map(str, r["missing_radii"])), **keys)
+        for summ in summaries:
+            yield _row(field, "coverage_fraction", repr(summ["coverage_fraction"]),
+                       d=args.d, k=args.k, size=summ["size"])
+
+    return payload, rows(), 0
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +417,6 @@ def cmd_threshold_sweep(args) -> tuple[dict, list[dict], int]:
 
 def _add_common(sub: argparse.ArgumentParser, *, need_dk: bool = False,
                 sampled: bool = False) -> None:
-    sub.add_argument("--p", type=int)
-    sub.add_argument("--s", type=int, default=None)
     sub.add_argument("--q", type=int)
     sub.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     sub.add_argument("--out", type=str, default=None)
@@ -555,24 +537,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = _apply_config_file(parser.parse_args(argv), parser, argv)
-        for required in ("d", "k"):
+        for required in ("q", "d", "k"):
             if hasattr(args, required) and getattr(args, required) is None:
                 raise ValueError(f"--{required} is required for this subcommand")
         if hasattr(args, "t") and args.t is None and args.command == "sphere-ft":
             raise ValueError("--t is required for sphere-ft")
         payload, rows, code = args.func(args)
-        text = render_output(payload, rows, args.fmt)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+        # the file is opened only once the command has succeeded
+        with (open(args.out, "w", encoding="utf-8", newline="") if args.out
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            write_output(payload, rows, args.fmt, fh)
     except (OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CheckFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if not args.out:
-        sys.stdout.write(text)
     return code
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -274,3 +275,35 @@ def test_non_element_refused(call, bad):
     # raise AttributeError on bad.field or bad.is_zero
     with pytest.raises(ValueError, match=rf"^{bad} is not an element of GF\(5\)$"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gauss_sum(None, _F5.one),
+    lambda: kloosterman(None, _F5.one, _F5.one),
+    lambda: gauss_identities(_F5, _F5.one, _F5.one, _M),
+    lambda: geometry.a_term(None, _M, _F5.one, 1),
+    lambda: geometry.stratum_sum_brute(None, 2, 0, _F5.one, _M),
+    lambda: geometry.lemma31_sum(None, 2, 0, _F5.one, _M),
+    lambda: geometry.sphere_ft(None, _M, _F5.one, 1, "closed"),
+    lambda: geometry.sphere_ft(None, _M, _F5.one, 1, "brute"),
+    lambda: distance.nu_spectral(_E, _F5.one, 1, 3),
+    lambda: distance.bounds(_E, _F5.one, 1, 3),
+], ids=["gauss_sum", "kloosterman", "gauss_identities-field", "a_term",
+        "stratum_sum_brute", "lemma31_sum", "sphere_ft-closed", "sphere_ft-brute",
+        "nu_spectral-int", "bounds-int"])
+def test_non_table_refused(call):
+    # the table is checked before its field is read; these used to raise
+    # AttributeError on table.field
+    with pytest.raises(ValueError, match=r" is not a CharacterTable$"):
+        call()
+
+
+@pytest.mark.parametrize("shift", [1, Fraction(1, 10**9)])
+def test_gauss_magnitude_is_exact(shift, monkeypatch):
+    # G_1 conj(G_1) == q on exact values: a shift far below the float
+    # tolerance fails the check as a large one does
+    real = characters.CharacterTable.gauss_standard
+    monkeypatch.setattr(characters.CharacterTable, "gauss_standard",
+                        lambda self: real(self) + shift)
+    checks = {c.name: c for c in run_identity_checks(make_field(5))}
+    assert checks["gauss_magnitude"] == characters.CheckResult("gauss_magnitude", False)

@@ -310,8 +310,9 @@ class TestStateMachine:
     """The table-driven pair loop against the Point/k_norm oracle.
 
     (7, 3) and (3, 4) run up to 2 and 3 zero levels before the dead state;
-    (25, 2), (27, 2) and (41, 2) run the q x q table of k = d and the one
-    zero level of k = 1 over extension and larger prime fields.
+    (25, 2), (27, 2) and (41, 2) run k = d, where only d zero differences
+    reach the dead state, and the one zero level of k = 1 over extension and
+    larger prime fields.
     """
 
     @staticmethod
@@ -583,6 +584,23 @@ class TestFieldChecks:
             per_freq = _per_frequency_energy(E)
             for t in f5.elements:
                 assert nu_spectral(E, t, k, table, per_freq) == direct[t.index]
+
+
+class TestSetChecks:
+    """E must be a PointSet; anything else is refused before E.field is read."""
+
+    @pytest.mark.parametrize("call", [
+        lambda E, f: distance_set(E, 1),
+        lambda E, f: nu_direct_all(E, 1),
+        lambda E, f: nu_spectral(E, f.one, 1),
+        lambda E, f: bounds(E, f.one, 1),
+    ], ids=["distance_set", "nu_direct_all", "nu_spectral", "bounds"])
+    def test_list_refused(self, call):
+        f = make_field(5)
+        m = Point(f, (1, 2))
+        for bad in ([m], (m, m), None):
+            with pytest.raises(ValueError, match=r" is not a PointSet$"):
+                call(bad, f)
 
 
 class TestSharpness:

@@ -112,6 +112,32 @@ class TestStrataAndSlices:
         with pytest.raises(ValueError):
             stratum(f, 2, 3)
 
+    def test_non_int_alpha_refused(self):
+        # a float alpha used to be answered as its int by stratum (and its
+        # cache), and to raise TypeError in lemma31_sum and range()
+        f, table = setup_q(5)
+        m = Point(f, (1, 2))
+        assert len(stratum(f, 2, 1)) == 8  # cached under the int 1
+        for alpha in (1.0, 0.5, "1", None):
+            msg = rf"^alpha must be an int, got {alpha!r}$"
+            with pytest.raises(ValueError, match=msg):
+                stratum(f, 2, alpha)
+            with pytest.raises(ValueError, match=msg):
+                lemma31_sum(table, 2, alpha, f.one, m)
+            with pytest.raises(ValueError, match=msg):
+                geometry.b_term_alpha_range(f, m, alpha, 1)
+            with pytest.raises(ValueError, match=msg):
+                geometry.b_term_alpha_range(f, m, 0, alpha)
+
+    def test_alpha_range_bounds_checked(self):
+        # an alpha past d used to index the subset sums from the end
+        f = make_field(5)
+        m = Point(f, (1, 2))
+        for lo, hi in ((0, 3), (-1, 1)):
+            with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 2\]"):
+                geometry.b_term_alpha_range(f, m, lo, hi)
+        assert geometry.b_term_alpha_range(f, m, 1, 0) == 0
+
 
 class TestSpheres:
     def test_circle_q3(self):

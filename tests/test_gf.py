@@ -110,6 +110,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Field(3, 0)
 
+    @pytest.mark.parametrize("p,s", [(10000000000000061, 1), (10000000000000061, 2),
+                                     (3, 7), (3, 40), (3, 0)])
+    def test_size_checked_before_primality(self, p, s, monkeypatch):
+        # a field past the size cap is refused before any primality test
+        seen = []
+        real = gf.check_odd_prime
+        monkeypatch.setattr(gf, "check_odd_prime", lambda p: seen.append(p) or real(p))
+        for build in (make_field, Field):
+            with pytest.raises(ValueError):
+                build(p, s)
+        assert all(p <= 2048 for p in seen)
+
     def test_factor_prime_power(self):
         assert factor_prime_power(27) == (3, 3)
         assert factor_prime_power(49) == (7, 2)

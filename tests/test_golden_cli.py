@@ -1,8 +1,10 @@
 """The CLI output, pinned byte for byte at seed 0.
 
-For each of the benchmark's seven cli commands, the SHA-256 of its output
-must equal a recorded digest: JSON digests from perfbench/golden_cli.json
-(read only here), CSV digests from golden_cli_csv.json next to this file.
+For each of the benchmark's seven cli commands, the SHA-256 of its --out
+file must equal a recorded digest: JSON digests from
+perfbench/golden_cli.json (read only here), CSV digests from
+golden_cli_csv.json next to this file.  stdout carries the same bytes as
+the file.
 """
 
 import hashlib
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from ffdist import harness
 from ffdist.harness import main
 
 HERE = Path(__file__).resolve().parent
@@ -32,9 +35,25 @@ def test_seven_commands():
 
 @pytest.mark.parametrize("command", sorted(CSV_DIGESTS))
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_output_matches_golden_digest(command, fmt, tmp_path):
+def test_output_matches_golden_digest(command, fmt, tmp_path, monkeypatch):
+    if fmt == "json":  # a JSON run builds no CSV row
+        def unreachable(*args, **kwargs):
+            raise AssertionError("harness._row called in a JSON run")
+        monkeypatch.setattr(harness, "_row", unreachable)
     out = tmp_path / "out"
     argv = command.split() + (["--format", "csv"] if fmt == "csv" else [])
     assert main(argv + ["--out", str(out)]) == 0
     want = (CSV_DIGESTS if fmt == "csv" else JSON_DIGESTS)[command]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+@pytest.mark.parametrize("command", sorted(CSV_DIGESTS))
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_stdout_matches_out_file(command, fmt, tmp_path, capsys):
+    # one writer serves both destinations
+    out = tmp_path / "out"
+    argv = command.split() + ["--format", fmt]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()

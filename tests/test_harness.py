@@ -197,10 +197,18 @@ class TestCli:
             assert proc.stdout == ""
             assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
-    def test_p_s_field_selection(self, capsys):
-        code, out = run_cli(["verify-identities", "--p", "3", "--s", "2"], capsys)
-        assert code == 0
-        assert json.loads(out)["field"]["q"] == 9
+    @pytest.mark.parametrize("argv", [
+        ["verify-identities", "--q", "9", "--p", "3"],
+        ["verify-identities", "--q", "9", "--s", "2"],
+        ["sharpness", "--p", "3", "--s", "2", "--d", "2", "--k", "1"],
+    ])
+    def test_p_s_flags_refused(self, argv, capsys):
+        # --q is the one field flag
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["verify-identities", "--q", "12"],
@@ -280,14 +288,14 @@ class TestOutOfRange:
         ["threshold-sweep", "--q", "5", "--d", "1000", "--k", "999", "--use-sharpness"],
         ["threshold-sweep", "--q", "5", "--d", "2", "--k", "1", "--C", "1e400"],
         ["verify-identities", "--q", "10000000000000061"],
-        ["verify-identities", "--p", "10000000000000061"],
-        ["verify-identities", "--p", "10000000000000061", "--s", "2"],
-        ["verify-identities", "--p", "3", "--s", "7"],
-        ["verify-identities", "--p", "3", "--s", "40"],
-        ["verify-identities", "--p", "3", "--s", "0"],
+        ["verify-identities", "--q", str(10000000000000061**2)],
+        ["verify-identities", "--q", str(3**7)],
+        ["verify-identities", "--q", str(3**40)],
+        ["verify-identities", "--q", "1"],
     ])
     def test_exit_2_one_line(self, argv, monkeypatch, capsys):
         # a field past the size cap is refused before any primality test
+        # (gf's tests check the same of make_field and Field)
         seen = []
         real = gf.check_odd_prime
         monkeypatch.setattr(gf, "check_odd_prime", lambda p: seen.append(p) or real(p))
@@ -389,6 +397,28 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"q": 3, "bogus": 1}))
         code, _ = run_cli(["verify-identities", "--config", str(cfg)], capsys)
         assert code == 2
+
+    def test_p_field_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": 3}))
+        assert main(["verify-identities", "--q", "9", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown config field 'p'\n"
+
+    def test_q_required_after_config(self, tmp_path, capsys):
+        # the config may supply q, like d and k; without it the run stops
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": 2, "k": 1}))
+        assert main(["sharpness", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --q is required for this subcommand\n"
+        cfg.write_text(json.dumps({"q": 9, "d": 2, "k": 1}))
+        code, out = run_cli(["sharpness", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert json.loads(out)["field"] == {"q": 9, "p": 3, "s": 2, "d": 2, "k": 1,
+                                            "modulus": [1, 0, 1]}
 
     @pytest.mark.parametrize("overrides", [
         {"d": "2", "k": 1, "size": 3},
