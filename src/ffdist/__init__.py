@@ -17,12 +17,11 @@ from .geometry import (a_term, b_term, k_norm, lemma31_sum, sphere_ft,
                        sphere_points, stratum, stratum_sum_brute)
 from .gf import (Field, FieldElement, Point, enumerate_vectors,
                  factor_prime_power, make_field, point_from_index)
-from .harness import (ExperimentConfig, SweepRecord, main, sample_set,
-                      threshold_sweep)
+from .harness import ExperimentConfig, main, sample_set, threshold_sweep
 
 __all__ = [
     "BoundReport", "CharacterTable", "Cyclotomic", "ExperimentConfig",
-    "Field", "FieldElement", "Point", "PointSet", "SweepRecord",
+    "Field", "FieldElement", "Point", "PointSet",
     "a_term", "alternating_binomial_sum", "b_term", "bounds",
     "character_table", "dft", "dft_indicator", "distance_set",
     "enumerate_vectors", "factor_prime_power", "gauss_closed_form",

@@ -2,8 +2,9 @@
 
 The canonical additive character is chi_1(c) = zeta_p^{Tr(c)}; the general
 chi_b(c) is evaluated as chi_1(b*c) rather than tabulated per b.  All sums
-return exact Cyclotomic values; magnitude statements (|G_1| = sqrt(q), the
-Weil bound for Kloosterman sums) are checked through the complex embedding.
+return exact Cyclotomic values.  |G_1| = sqrt(q) is checked exactly, as
+G_1 conj(G_1) = q; the Weil bound for Kloosterman sums and the evaluated
+Gauss sum (gauss_closed_form) are compared through the complex embedding.
 gauss_sum and kloosterman run on element indices through the field's
 tables, with no element object per term.  The three brute sums of
 gauss_identities read the arguments of all the terms of one sum at once, by

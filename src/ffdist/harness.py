@@ -19,7 +19,6 @@ import json
 import math
 import random
 import sys
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -48,8 +47,8 @@ def substream_id(seed: int, trial: int, label: str = "sample") -> int:
 def sample_set(field: Field, d: int, size: int, seed: int, trial: int) -> PointSet:
     """Uniform without-replacement sample of F_q^d, deterministic in (seed, trial)."""
     n = space_size(field.q, d)
-    if size > n:
-        raise ValueError(f"sample size {size} exceeds |F_q^d| = {n}")
+    if not 0 <= size <= n:
+        raise ValueError(f"sample size {size} must lie in [0, {n}]")
     rng = random.Random(substream_id(seed, trial))
     indices = sorted(rng.sample(range(n), size))
     return PointSet(field, d, [point_from_index(field, d, i) for i in indices])
@@ -68,6 +67,8 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         check_k(self.k, self.d)
+        if self.C <= 0:
+            raise ValueError(f"C must be > 0, got {self.C}")
 
     @property
     def threshold_exponent(self) -> float:
@@ -93,30 +94,12 @@ class ExperimentConfig:
         return tuple(sorted(grid))
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    q: int
-    d: int
-    k: int
-    size: int
-    trial: int
-    substream: int
-    full_coverage: bool
-    missing_radii: tuple[int, ...]
-    runtime_ms: float  # informational; excluded from serialized output
-
-    def as_json(self) -> dict:
-        return {
-            "q": self.q, "d": self.d, "k": self.k, "size": self.size,
-            "trial": self.trial, "substream": self.substream,
-            "full_coverage": self.full_coverage,
-            "missing_radii": list(self.missing_radii),
-        }
-
-
 def threshold_sweep(field: Field, config: ExperimentConfig,
-                    force_sharpness: bool = False) -> tuple[list[SweepRecord], list[dict]]:
+                    force_sharpness: bool = False) -> tuple[list[dict], list[dict]]:
     """Sample E at each grid size and record whether D_k(E) = F_q.
+
+    Returns one record per trial, as the dict that is serialized, and one
+    coverage summary per size, in size order.
 
     With force_sharpness the sampled set is replaced by the axis-aligned
     example of size q^{d-k}, whose k-distance set is {0}.
@@ -130,37 +113,34 @@ def threshold_sweep(field: Field, config: ExperimentConfig,
     from .distance import _distance_indices
 
     q = field.q
-    records: list[SweepRecord] = []
+    records: list[dict] = []
+    summaries: list[dict] = []
     # the example is built (and its size checked) once, before any q^(d-k)
     sharp = (sharpness_example(field, config.d, config.k)
              if force_sharpness else None)
     sizes = (len(sharp),) if sharp is not None else config.resolve_sizes(q)
     spectral = within_cap(q, config.d)
     for size in sizes:
+        covered = 0
         for trial in range(config.trials):
-            start = time.perf_counter()
-            sub = substream_id(config.seed, trial)
             E = sharp if sharp is not None else sample_set(
                 field, config.d, size, config.seed, trial)
             found = _distance_indices(E, config.k)
-            missing = tuple(sorted(set(range(q)) - found))
+            missing = sorted(set(range(q)) - found)
             if sharp is not None and found != {0}:
                 raise CheckFailed(f"sharpness example has distances {sorted(found)}, not [0]")
             xcheck = random.Random(substream_id(config.seed, trial, f"xcheck:{size}"))
             if spectral and xcheck.random() < 0.05:
                 _cross_check_coverage(field, E, config.k, found)
-            records.append(SweepRecord(
-                q=q, d=config.d, k=config.k, size=len(E), trial=trial,
-                substream=sub, full_coverage=not missing, missing_radii=missing,
-                runtime_ms=(time.perf_counter() - start) * 1e3,
-            ))
-    summaries = []
-    for size in sorted({r.size for r in records}):
-        hits = [r for r in records if r.size == size]
-        covered = sum(1 for r in hits if r.full_coverage)
+            covered += not missing
+            records.append({
+                "q": q, "d": config.d, "k": config.k, "size": size, "trial": trial,
+                "substream": substream_id(config.seed, trial),
+                "full_coverage": not missing, "missing_radii": missing,
+            })
         summaries.append({
-            "size": size, "trials": len(hits), "covered_trials": covered,
-            "coverage_fraction": covered / len(hits),
+            "size": size, "trials": config.trials, "covered_trials": covered,
+            "coverage_fraction": covered / config.trials,
         })
     return records, summaries
 
@@ -218,10 +198,6 @@ def write_output(payload: dict, rows: Iterable[dict], fmt: str, fh) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _resolve_field(args) -> Field:
-    return make_field(*factor_prime_power(args.q))
-
-
 def _sample_or_sharpness(field: Field, args) -> PointSet:
     if getattr(args, "use_sharpness", False):
         return sharpness_example(field, args.d, args.k)
@@ -230,12 +206,9 @@ def _sample_or_sharpness(field: Field, args) -> PointSet:
     return sample_set(field, args.d, args.size, args.seed, args.trial)
 
 
-def cmd_verify_identities(args) -> tuple[dict, Iterable[dict], int]:
-    field = _resolve_field(args)
+def cmd_verify_identities(field: Field, args) -> tuple[dict, Iterable[dict], int]:
     checks = run_identity_checks(field)
     payload = {
-        "command": "verify-identities",
-        "field": _field_meta(field),
         "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
                    for c in checks],
         "all_passed": all(c.passed for c in checks),
@@ -244,8 +217,7 @@ def cmd_verify_identities(args) -> tuple[dict, Iterable[dict], int]:
     return payload, rows, 0 if payload["all_passed"] else 1
 
 
-def cmd_sphere_ft(args) -> tuple[dict, Iterable[dict], int]:
-    field = _resolve_field(args)
+def cmd_sphere_ft(field: Field, args) -> tuple[dict, Iterable[dict], int]:
     table = character_table(field)
     t = field.element(args.t)
     if args.mode != "brute" and t.is_zero:
@@ -272,8 +244,6 @@ def cmd_sphere_ft(args) -> tuple[dict, Iterable[dict], int]:
             rec["equal"] = rec["closed"] == rec["brute"]
         records.append(rec)
     payload = {
-        "command": "sphere-ft",
-        "field": _field_meta(field, args.d, args.k),
         "t": args.t, "mode": args.mode,
         "records": records,
     }
@@ -288,13 +258,10 @@ def cmd_sphere_ft(args) -> tuple[dict, Iterable[dict], int]:
     return payload, rows, 0 if payload.get("all_equal", True) else 1
 
 
-def cmd_distance_set(args) -> tuple[dict, Iterable[dict], int]:
-    field = _resolve_field(args)
+def cmd_distance_set(field: Field, args) -> tuple[dict, Iterable[dict], int]:
     E = _sample_or_sharpness(field, args)
     dset = [e.index for e in distance_set(E, args.k)]
     payload = {
-        "command": "distance-set",
-        "field": _field_meta(field, args.d, args.k),
         "size": len(E), "seed": args.seed, "trial": args.trial,
         "distances": dset,
         "full": len(dset) == field.q,
@@ -306,8 +273,7 @@ def cmd_distance_set(args) -> tuple[dict, Iterable[dict], int]:
     return payload, rows, 0
 
 
-def cmd_nu(args) -> tuple[dict, Iterable[dict], int]:
-    field = _resolve_field(args)
+def cmd_nu(field: Field, args) -> tuple[dict, Iterable[dict], int]:
     E = _sample_or_sharpness(field, args)
     table = character_table(field)
     energy = spectral_energy(E)
@@ -321,8 +287,7 @@ def cmd_nu(args) -> tuple[dict, Iterable[dict], int]:
                         "k": args.k, "t": t.index, "size": len(E),
                         "direct": direct, "spectral": str(spectral),
                         "equal": spectral == direct})
-    payload = {"command": "nu", "field": _field_meta(field, args.d, args.k),
-               "seed": args.seed, "trial": args.trial, "records": records,
+    payload = {"seed": args.seed, "trial": args.trial, "records": records,
                "all_equal": all(rec["equal"] for rec in records)}
     rows = (_row(field, metric, value, d=args.d, k=args.k, t=rec["t"],
                  size=rec["size"], trial=args.trial)
@@ -333,16 +298,13 @@ def cmd_nu(args) -> tuple[dict, Iterable[dict], int]:
     return payload, rows, 0 if payload["all_equal"] else 1
 
 
-def cmd_bounds(args) -> tuple[dict, Iterable[dict], int]:
-    field = _resolve_field(args)
+def cmd_bounds(field: Field, args) -> tuple[dict, Iterable[dict], int]:
     if args.t == 0:
         raise ValueError("bounds require t != 0")
     E = _sample_or_sharpness(field, args)
     t = field.element(args.t)
     report = bounds(E, t, args.k)
     payload = {
-        "command": "bounds",
-        "field": _field_meta(field, args.d, args.k),
         "t": args.t, "size": len(E), "seed": args.seed, "trial": args.trial,
         "components": report.components(),
         "b_m2_zero": report.b_m2 == 0,
@@ -357,14 +319,11 @@ def cmd_bounds(args) -> tuple[dict, Iterable[dict], int]:
     return payload, rows, 0 if payload["b_m2_zero"] and payload["a_bound_ok"] else 1
 
 
-def cmd_sharpness(args) -> tuple[dict, Iterable[dict], int]:
-    field = _resolve_field(args)
+def cmd_sharpness(field: Field, args) -> tuple[dict, Iterable[dict], int]:
     E = sharpness_example(field, args.d, args.k)
     dset = [e.index for e in distance_set(E, args.k)]
     ok = len(E) == field.q ** (args.d - args.k) and dset == [0]
     payload = {
-        "command": "sharpness",
-        "field": _field_meta(field, args.d, args.k),
         "size": len(E), "distances": dset, "degenerate": dset == [0],
     }
     rows = (_row(field, metric, value, d=args.d, k=args.k)
@@ -373,8 +332,7 @@ def cmd_sharpness(args) -> tuple[dict, Iterable[dict], int]:
     return payload, rows, 0 if ok else 1
 
 
-def cmd_threshold_sweep(args) -> tuple[dict, Iterable[dict], int]:
-    field = _resolve_field(args)
+def cmd_threshold_sweep(field: Field, args) -> tuple[dict, Iterable[dict], int]:
     sizes = None
     if args.sizes and args.sizes != "auto":
         sizes = tuple(int(x) for x in args.sizes.split(","))
@@ -384,8 +342,6 @@ def cmd_threshold_sweep(args) -> tuple[dict, Iterable[dict], int]:
     )
     records, summaries = threshold_sweep(field, config, args.use_sharpness)
     payload = {
-        "command": "threshold-sweep",
-        "field": _field_meta(field, args.d, args.k),
         "config": {
             "C": str(config.C), "seed": config.seed, "trials": config.trials,
             "threshold_exponent": config.threshold_exponent,
@@ -393,12 +349,12 @@ def cmd_threshold_sweep(args) -> tuple[dict, Iterable[dict], int]:
             "sizes": [summ["size"] for summ in summaries],
             "conjectural": args.d % 2 == 0,
         },
-        "records": [r.as_json() for r in records],
+        "records": records,
         "summary": summaries,
     }
 
     def rows():
-        for r in payload["records"]:
+        for r in records:
             keys = {"d": r["d"], "k": r["k"], "size": r["size"], "trial": r["trial"]}
             yield _row(field, "full_coverage", int(r["full_coverage"]), **keys)
             if r["missing_radii"]:
@@ -542,7 +498,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise ValueError(f"--{required} is required for this subcommand")
         if hasattr(args, "t") and args.t is None and args.command == "sphere-ft":
             raise ValueError("--t is required for sphere-ft")
-        payload, rows, code = args.func(args)
+        field = make_field(*factor_prime_power(args.q))
+        payload, rows, code = args.func(field, args)
+        payload.update(command=args.command, field=_field_meta(
+            field, getattr(args, "d", None), getattr(args, "k", None)))
         # the file is opened only once the command has succeeded
         with (open(args.out, "w", encoding="utf-8", newline="") if args.out
               else contextlib.nullcontext(sys.stdout)) as fh:

@@ -44,6 +44,13 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_set(f, 2, 10, seed=0, trial=0)
 
+    def test_sample_negative_size_named(self):
+        # one message gives the size and its range; size 0 stays allowed
+        f = make_field(5)
+        with pytest.raises(ValueError, match=r"^sample size -1 must lie in \[0, 25\]$"):
+            sample_set(f, 2, -1, 0, 0)
+        assert len(sample_set(f, 2, 0, 0, 0)) == 0
+
 
 class TestConfig:
     def test_threshold_exponent(self):
@@ -73,30 +80,59 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(d=2, k=1, trials=0)
 
+    @pytest.mark.parametrize("C", [Fraction(0), Fraction(-1)])
+    def test_non_positive_C_refused(self, C):
+        with pytest.raises(ValueError, match=r"^C must be > 0"):
+            ExperimentConfig(d=2, k=1, C=C)
+
 
 class TestSweep:
     def test_forced_sharpness_misses_everything(self):
         f = make_field(3)
         cfg = ExperimentConfig(d=3, k=1, seed=0, trials=2)
         records, summaries = threshold_sweep(f, cfg, force_sharpness=True)
-        assert all(r.size == 9 for r in records)
-        assert all(not r.full_coverage for r in records)
-        assert all(r.missing_radii == (1, 2) for r in records)
+        assert all(r["size"] == 9 for r in records)
+        assert all(not r["full_coverage"] for r in records)
+        assert all(r["missing_radii"] == [1, 2] for r in records)
         assert summaries == [{"size": 9, "trials": 2, "covered_trials": 0,
                               "coverage_fraction": 0.0}]
 
-    def test_runtime_not_serialized(self):
+    def test_records_are_the_serialized_keys(self):
         f = make_field(3)
         cfg = ExperimentConfig(d=2, k=1, trials=1)
         records, _ = threshold_sweep(f, cfg)
-        assert "runtime_ms" not in records[0].as_json()
+        assert all(set(r) == {"q", "d", "k", "size", "trial", "substream",
+                              "full_coverage", "missing_radii"} for r in records)
 
     def test_records_deterministic(self):
         f = make_field(5)
         cfg = ExperimentConfig(d=2, k=2, seed=11, trials=3)
-        a = [r.as_json() for r in threshold_sweep(f, cfg)[0]]
-        b = [r.as_json() for r in threshold_sweep(f, cfg)[0]]
+        a = threshold_sweep(f, cfg)[0]
+        b = threshold_sweep(f, cfg)[0]
         assert a == b
+
+    @pytest.mark.parametrize("k,size_grid,force_sharpness", [
+        (1, None, False),
+        (2, (6, 3, 4, 3), False),
+        (1, None, True),
+    ])
+    def test_summaries_regroup_the_records(self, k, size_grid, force_sharpness):
+        # the summaries are counted as the trials run; they must equal the
+        # records regrouped by size afterwards, in size order.  At k = 1 no
+        # trial covers F_5 (radii 1 and 4 are never sums of two nonzero
+        # squares); at k = 2 size 6 covers 16 of the 20 trials at seed 4
+        f = make_field(5)
+        cfg = ExperimentConfig(d=2, k=k, seed=4, trials=20, size_grid=size_grid)
+        records, summaries = threshold_sweep(f, cfg, force_sharpness)
+        regrouped = []
+        for size in sorted({r["size"] for r in records}):
+            hits = [r for r in records if r["size"] == size]
+            covered = sum(1 for r in hits if r["full_coverage"])
+            regrouped.append({"size": size, "trials": len(hits),
+                              "covered_trials": covered,
+                              "coverage_fraction": covered / len(hits)})
+        assert summaries == regrouped
+        assert [r["size"] for r in records] == sorted(r["size"] for r in records)
 
 
 class TestCli:
@@ -256,6 +292,25 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,config", [
+        (["--C", "0"], None),
+        (["--C", "-1"], None),
+        ([], {"C": "0"}),
+    ])
+    def test_non_positive_C_names_C(self, argv, config, tmp_path, capsys):
+        # a size grid from C <= 0 would hold 0 or a negative sample size
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = ["--config", str(cfg)]
+        code = main(["threshold-sweep", "--q", "5", "--d", "2", "--k", "1",
+                     "--trials", "1", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: C must be > 0")
         assert captured.err.count("\n") == 1
 
     def test_out_file(self, tmp_path, capsys):
