@@ -18,9 +18,11 @@ going out.  Floats appear only in the explicit complex embedding.
 
 The coefficient arithmetic under zeta^p = 1 is written once, as module
 kernels on int lists that every other module calls: rotated (times
-zeta^j), conjugated (zeta -> zeta^{-1}), convolve (the product, before
-canonical reduction) and common_denominator (Cyclotomic, int or Fraction
-values as int lists over their lcm, each checked to have the prime p).
+zeta^j), rotated_sum (a sum of rotated lists, the inner step of every
+additive-character transform), conjugated (zeta -> zeta^{-1}), convolve
+(the product, before canonical reduction) and common_denominator
+(Cyclotomic, int or Fraction values as int lists over their lcm, each
+checked to have the prime p).
 Cyclotomic's own ring operations are built on them.
 """
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
@@ -46,6 +49,15 @@ def rotated(c: Sequence[int], j: int) -> Sequence[int]:
     """The coefficients of zeta^j times sum_l c[l] zeta^l, for 0 <= j < p: c
     rotated j places (a list for a list, a tuple for a tuple)."""
     return c[-j:] + c[:-j]
+
+
+def rotated_sum(p: int, cs: Iterable[Sequence[int]], shifts: Iterable[int]) -> list[int]:
+    """The coefficients of sum_i zeta^{j_i} c_i, for the p-long int lists c_i
+    of cs and the shifts 0 <= j_i < p taken pairwise; [0] * p for no terms."""
+    acc = [0] * p
+    for c, j in zip(cs, shifts):
+        acc = list(map(operator.add, acc, rotated(c, j)))
+    return acc
 
 
 def conjugated(c: Sequence[int]) -> Sequence[int]:

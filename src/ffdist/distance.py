@@ -62,16 +62,10 @@ from itertools import accumulate, combinations, repeat
 from typing import Optional
 
 from .characters import CharacterTable, _check_field, _table_field, character_table
-from .cyclotomic import Cyclotomic, common_denominator, convolve, rotated
-from .fourier import PointSet, spectral_energy
+from .cyclotomic import Cyclotomic, common_denominator, convolve, rotated_sum
+from .fourier import PointSet, _check_set, spectral_energy
 from .gf import Field, FieldElement, Point, enumerate_vectors, point_indices
 from .geometry import _elementary_symmetric, _zero_pattern_factors, check_k
-
-
-def _check_set(E: PointSet) -> None:
-    """Raise ValueError unless E is a PointSet."""
-    if not isinstance(E, PointSet):
-        raise ValueError(f"{E!r} is not a PointSet")
 
 
 def distance_set(E: PointSet, k: int) -> list[FieldElement]:
@@ -324,9 +318,7 @@ class _SpectralSummary:
         for i, table_i in enumerate(tables):
             rows_i = []
             for s, w in enumerate(quarters, 1):
-                row = [0] * p
-                for u, c in table_i.items():
-                    row = list(map(operator.add, row, rotated(c, trace[mul[u][w]])))
+                row = rotated_sum(p, table_i.values(), [trace[mul[u][w]] for u in table_i])
                 rows_i.append([-c for c in row] if i % 2 and quad[s] < 0 else row)
             self.rows.append(rows_i)
         # per zero count: b_main, m1, m2, m3, then B_k and b_aux(k) for each k
@@ -357,12 +349,7 @@ class _SpectralSummary:
             f = self.field
             row, trace, neg = f._mul[ti], f._trace, f._neg
             shifts = [trace[neg[row[s]]] for s in range(1, f.q)]
-            out = self._t[ti] = []
-            for rows_i in self.rows:
-                acc = [0] * f.p
-                for r, j in zip(rows_i, shifts):
-                    acc = list(map(operator.add, acc, rotated(r, j)))
-                out.append(acc)
+            out = self._t[ti] = [rotated_sum(f.p, rows_i, shifts) for rows_i in self.rows]
         return out
 
     def _a_num(self, t: FieldElement, k: int) -> list[int]:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Union
 
-from .cyclotomic import Cyclotomic, common_denominator, conjugated, convolve, rotated
+from .cyclotomic import Cyclotomic, common_denominator, conjugated, convolve, rotated_sum
 from .gf import Field, Point, enumerate_vectors, point_indices, space_size
 
 Value = Union[Cyclotomic, int, Fraction]
@@ -34,8 +34,8 @@ class PointSet:
     __slots__ = ("field", "d", "points", "_index_set")
 
     def __init__(self, field: Field, d: int, members: Iterable[Point]) -> None:
-        if d < 1:
-            raise ValueError("dimension must be >= 1")
+        if type(d) is not int or d < 1:
+            raise ValueError(f"dimension must be an int >= 1, got {d!r}")
         seen = {point_indices(field, d, pt): pt for pt in members}
         self.field = field
         self.d = d
@@ -64,28 +64,32 @@ class PointSet:
         return f"PointSet(q={self.field.q}, d={self.d}, size={len(self)})"
 
 
+def _check_set(E: PointSet) -> None:
+    """Raise ValueError unless E is a PointSet."""
+    if not isinstance(E, PointSet):
+        raise ValueError(f"{E!r} is not a PointSet")
+
+
 def _transform(field: Field, d: int, f: Mapping[Point, Value], sign: int,
                scale: int) -> dict[Point, Cyclotomic]:
     """y -> sum_x f(x) zeta^{sign Tr(x.y)} / scale at every y of F_q^d, for
     sign = +-1; absent points are 0.
 
     The values are carried on int coefficients over their common
-    denominator, so each term is one rotate-and-add and each sum is divided
+    denominator, so each sum is one rotated_sum over the support, divided
     once.
     """
     domain = enumerate_vectors(field, d)
     p = field.p
     keys = [point_indices(field, d, x) for x in f]
     nums, den = common_denominator(p, f.values())
-    support = [(x, c) for x, c in zip(keys, nums) if any(c)]
+    support = {x: c for x, c in zip(keys, nums) if any(c)}  # the keys are distinct
     dot = field.dot
     # Tr is additive, so Tr(-a) = -Tr(a) mod p
     power = [sign * j % p for j in field._trace]
     out: dict[Point, Cyclotomic] = {}
     for y in domain:
-        acc = [0] * p
-        for x, c in support:
-            acc = list(map(operator.add, acc, rotated(c, power[dot(x, y.idx)])))
+        acc = rotated_sum(p, support.values(), [power[dot(x, y.idx)] for x in support])
         out[y] = Cyclotomic._over(p, acc, den * scale)
     return out
 
@@ -98,6 +102,7 @@ def dft(field: Field, d: int, f: Mapping[Point, Value]) -> dict[Point, Cyclotomi
 
 def dft_indicator(E: PointSet) -> dict[Point, Cyclotomic]:
     """Ehat(m) = q^{-d} sum over x in E of chi(-x.m)."""
+    _check_set(E)
     field = E.field
     p = field.p
     scale = Fraction(1, field.q**E.d)
@@ -140,6 +145,7 @@ def spectral_energy(E: PointSet) -> dict[Point, Cyclotomic]:
     a j; and -a m has the class and the square of a m.  Each class sum is
     scaled once by q^{-2d}.
     """
+    _check_set(E)
     f = E.field
     p, q, d = f.p, f.q, E.d
     space_size(q, d)
@@ -198,6 +204,7 @@ def spectral_energy(E: PointSet) -> dict[Point, Cyclotomic]:
 
 def plancherel_check(E: PointSet) -> tuple[Fraction, Fraction]:
     """(sum_m |Ehat(m)|^2, q^{-d} |E|); the two must be equal exactly."""
+    _check_set(E)
     field = E.field
     total = Cyclotomic.zero(field.p)
     for v in spectral_energy(E).values():

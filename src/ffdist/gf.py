@@ -378,13 +378,24 @@ class Point:
     __slots__ = ("field", "idx")
 
     def __init__(self, field: Field, coords) -> None:
-        idx = tuple(c.index if isinstance(c, FieldElement) else int(c) for c in coords)
+        """A point from coordinates that are each an element of field or the
+        int index of one; anything else raises ValueError."""
+        idx = []
+        for c in coords:
+            if isinstance(c, FieldElement):
+                if c.field is not field:
+                    raise ValueError("elements belong to different fields")
+                c = c.index
+            elif type(c) is not int:
+                raise ValueError(f"coordinate {c!r} is neither an element of GF({field.q}) "
+                                 "nor an int index")
+            idx.append(c)
         if not idx:
             raise ValueError("points must have dimension >= 1")
         if any(not 0 <= i < field.q for i in idx):
             raise ValueError(f"coordinate index out of range for GF({field.q})")
         self.field = field
-        self.idx = idx
+        self.idx = tuple(idx)
 
     @property
     def d(self) -> int:

@@ -25,8 +25,8 @@ from typing import Iterable, Optional, Sequence
 
 from .characters import character_table, run_identity_checks
 from .cyclotomic import Cyclotomic
-from .distance import (bounds, distance_set, nu_direct_all, nu_spectral,
-                       sharpness_example)
+from .distance import (_distance_indices, bounds, distance_set, nu_direct_all,
+                       nu_spectral, sharpness_example)
 from .fourier import PointSet, spectral_energy
 from .geometry import check_k, sphere_ft
 from .gf import (Field, Point, enumerate_vectors, factor_prime_power, make_field,
@@ -90,7 +90,6 @@ class ExperimentConfig:
             return tuple(sorted(set(sizes)))
         base = self.threshold_size(q)
         grid = {max(1, min(n, math.ceil(base * f))) for f in (0.25, 0.5, 1.0, 2.0)}
-        grid.add(min(n, base))
         return tuple(sorted(grid))
 
 
@@ -110,8 +109,6 @@ def threshold_sweep(field: Field, config: ExperimentConfig,
     where the spectral route cannot enumerate the frequencies and nothing
     is drawn.
     """
-    from .distance import _distance_indices
-
     q = field.q
     records: list[dict] = []
     summaries: list[dict] = []
@@ -198,6 +195,19 @@ def write_output(payload: dict, rows: Iterable[dict], fmt: str, fh) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _ints(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
+def _parse_flag(name: str, text: str, parse, what: str):
+    """parse(text) for the flag --name; a text it refuses raises ValueError
+    naming the flag, what it takes and the text."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--{name} must be {what}, got {text!r}") from None
+
+
 def _sample_or_sharpness(field: Field, args) -> PointSet:
     if getattr(args, "use_sharpness", False):
         return sharpness_example(field, args.d, args.k)
@@ -223,7 +233,7 @@ def cmd_sphere_ft(field: Field, args) -> tuple[dict, Iterable[dict], int]:
     if args.mode != "brute" and t.is_zero:
         raise ValueError(f"--mode {args.mode} requires t != 0; use --mode brute")
     if args.m is not None:
-        ms = [Point(field, [int(c) for c in args.m.split(",")])]
+        ms = [Point(field, _parse_flag("m", args.m, _ints, "comma-separated element indices"))]
         if ms[0].d != args.d:
             raise ValueError(f"--m must have {args.d} coordinates")
     else:
@@ -335,10 +345,10 @@ def cmd_sharpness(field: Field, args) -> tuple[dict, Iterable[dict], int]:
 def cmd_threshold_sweep(field: Field, args) -> tuple[dict, Iterable[dict], int]:
     sizes = None
     if args.sizes and args.sizes != "auto":
-        sizes = tuple(int(x) for x in args.sizes.split(","))
+        sizes = tuple(_parse_flag("sizes", args.sizes, _ints, '"auto" or comma-separated ints'))
+    C = _parse_flag("C", args.C, Fraction, "a rational number")
     config = ExperimentConfig(
-        d=args.d, k=args.k, C=Fraction(args.C), seed=args.seed,
-        trials=args.trials, size_grid=sizes,
+        d=args.d, k=args.k, C=C, seed=args.seed, trials=args.trials, size_grid=sizes,
     )
     records, summaries = threshold_sweep(field, config, args.use_sharpness)
     payload = {

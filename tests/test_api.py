@@ -4,6 +4,7 @@ A deletion that leaves a name in ffdist.__all__, or removes a function that
 perfbench/spans.py wraps by name, fails here rather than in a traced run.
 """
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -18,6 +19,7 @@ from ffdist import characters, distance, fourier, geometry, gf, harness
 from ffdist.cyclotomic import Cyclotomic
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "ffdist"
 
 
 def _load_spans():
@@ -112,3 +114,17 @@ def test_one_enumeration_bound():
     assert len(subcommands.choices) == 7
     for sub in subcommands.choices.values():
         assert "--cap" not in sub._option_string_actions
+
+
+def test_rotation_kernel_has_one_home():
+    # every sum of rotated coefficient lists goes through
+    # cyclotomic.rotated_sum, so rotated itself is called only in its module
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name == "rotated":
+                    callers.add(path.name)
+    assert callers == {"cyclotomic.py"}

@@ -1,5 +1,6 @@
 import cmath
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffdist.cyclotomic import (Cyclotomic, common_denominator, conjugated, convolve,
-                               rotated)
+                               rotated, rotated_sum)
 
 
 def cyclo(p):
@@ -94,6 +95,20 @@ class TestArithmetic:
         g = Cyclotomic(3, (0, 1, -1))
         assert g**2 == -3
         assert g**0 == 1
+        with pytest.raises(ValueError, match="^negative powers not supported$"):
+            g ** -1
+
+    def test_rational_value_of_irrational(self):
+        with pytest.raises(ValueError, match=r"^Cyclotomic\(p=3, \[0, 1, 0\]\) is not rational$"):
+            Cyclotomic.root(3, 1).rational_value()
+
+    @pytest.mark.parametrize("op", [operator.add, operator.mul], ids=["add", "mul"])
+    def test_str_operand_refused(self, op):
+        g = Cyclotomic.root(5, 2)
+        with pytest.raises(TypeError):
+            op(g, "1")
+        with pytest.raises(TypeError):
+            op("1", g)
 
 
 def coefficient_lists(p):
@@ -147,6 +162,19 @@ class TestKernels:
         b = data.draw(coefficient_lists(p))
         assert convolve(a, b) == convolve_reference(a, b)
         assert convolve(a, conjugated(a)) == convolve_reference(a, conjugated(a))
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_rotated_sum(self, p, data):
+        cs = data.draw(st.lists(coefficient_lists(p), max_size=6))
+        shifts = data.draw(st.lists(st.sampled_from([0, 1, p - 1]),
+                                    min_size=len(cs), max_size=len(cs)))
+        # the sum of the rotated lists, slot by slot
+        want = [sum(rotated_reference(c, j)[i] for c, j in zip(cs, shifts))
+                for i in range(p)]
+        assert rotated_sum(p, cs, shifts) == want
+        assert rotated_sum(p, map(tuple, cs), iter(shifts)) == want
+        assert rotated_sum(p, [], []) == [0] * p
 
     def test_common_denominator(self, p):
         root = Cyclotomic.root(p, 1) * Fraction(1, 6)

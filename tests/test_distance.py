@@ -594,13 +594,24 @@ class TestSetChecks:
         lambda E, f: nu_direct_all(E, 1),
         lambda E, f: nu_spectral(E, f.one, 1),
         lambda E, f: bounds(E, f.one, 1),
-    ], ids=["distance_set", "nu_direct_all", "nu_spectral", "bounds"])
+        lambda E, f: spectral_energy(E),
+        lambda E, f: dft_indicator(E),
+        lambda E, f: plancherel_check(E),
+    ], ids=["distance_set", "nu_direct_all", "nu_spectral", "bounds",
+            "spectral_energy", "dft_indicator", "plancherel_check"])
     def test_list_refused(self, call):
         f = make_field(5)
         m = Point(f, (1, 2))
         for bad in ([m], (m, m), None):
             with pytest.raises(ValueError, match=r" is not a PointSet$"):
                 call(bad, f)
+
+    @pytest.mark.parametrize("d", [2.0, 0, -1, True])
+    def test_dimension_refused(self, d):
+        # d must be an int: 2.0 and True are refused, not read as 2 and 1
+        f = make_field(5)
+        with pytest.raises(ValueError, match=r"^dimension must be an int >= 1, got "):
+            PointSet(f, d, [Point(f, (0, 1))])
 
 
 class TestSharpness:

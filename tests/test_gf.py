@@ -197,6 +197,38 @@ class TestArithmetic:
         assert f.one + 1 == f.element(2)
         assert 3 * f.element(2) == f.from_int(6) == f.one
 
+    def test_element_index_out_of_range(self):
+        f = make_field(5)
+        for bad in (5, -1):
+            with pytest.raises(ValueError, match=rf"^element index {bad} outside \[0, 5\)$"):
+                f.element(bad)
+
+    def test_reflected_sub_and_division(self):
+        f = make_field(5)
+        assert 1 - f.element(3) == f.element(3)  # 1 - 3 = -2
+        assert f.element(2) / f.element(3) == f.element(4)  # 2 * 3^-1 = 2 * 2
+        assert f.element(2) / 3 == f.element(4)
+        with pytest.raises(ZeroDivisionError):
+            f.one / f.zero
+
+    @pytest.mark.parametrize("other,error,message", [
+        (make_field(7).one, ValueError, "^elements belong to different fields$"),
+        (make_field(5, 2).one, ValueError, "^elements belong to different fields$"),
+        (1.5, TypeError, "^cannot combine FieldElement with float$"),
+    ], ids=["GF(7)", "GF(25)", "float"])
+    def test_foreign_operand_refused(self, other, error, message):
+        a = make_field(5).element(2)
+        for combine in (lambda: a + other, lambda: other + a, lambda: a - other,
+                        lambda: other - a, lambda: a * other, lambda: other * a,
+                        lambda: a / other):
+            with pytest.raises(error, match=message):
+                combine()
+
+    def test_repr(self):
+        assert repr(make_field(5).element(3)) == "GF(5):3"
+        f = make_field(3, 2)
+        assert repr(f.element(f.coeffs_to_index((1, 2)))) == "GF(9):(1, 2)"
+
     def test_no_equality_with_int(self):
         # an element equal to both 1 and 6 could not hash like both
         f = make_field(5)
@@ -336,6 +368,18 @@ class TestVectors:
         for bad in ((5, 0), (0, -1), ()):
             with pytest.raises(ValueError):
                 Point(f, bad)
+
+    def test_point_refuses_foreign_coordinates(self):
+        # a float, a str or another field's element is refused, not read as
+        # an int index
+        f = make_field(5)
+        assert Point(f, (f.element(4), 2)) == Point(f, (4, 2))
+        for bad in (1.5, "3", None, True):
+            with pytest.raises(ValueError, match=r"is neither an element of GF\(5\) nor an int"):
+                Point(f, (bad, 2))
+        for foreign in (make_field(7).elements[4], make_field(5, 2).elements[4]):
+            with pytest.raises(ValueError, match="^elements belong to different fields$"):
+                Point(f, (foreign, 2))
 
     def test_point_from_index_range(self):
         # index q^d used to wrap to the origin and -1 to (q-1, ..., q-1)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ffdist import distance, gf, harness
+from ffdist import gf, harness
 from ffdist.gf import make_field
 from ffdist.harness import (ExperimentConfig, build_parser, main, sample_set,
                             substream_id, threshold_sweep)
@@ -257,6 +257,7 @@ class TestCli:
         ["nu", "--q", "3", "--d", "2", "--k", "1"],
         ["bounds", "--q", "3", "--d", "2", "--k", "1", "--size", "4", "--t", "0"],
         ["distance-set", "--q", "3", "--d", "2", "--k", "1", "--size", "99"],
+        ["sphere-ft", "--q", "3", "--d", "2", "--k", "2", "--t", "1", "--m", "1,2,0"],
     ])
     def test_invalid_parameters_exit_2(self, argv, capsys):
         code, _ = run_cli(argv, capsys)
@@ -311,6 +312,23 @@ class TestCli:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: C must be > 0")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,flag,text", [
+        (["threshold-sweep", "--C", "1/0"], "--C", "1/0"),
+        (["threshold-sweep", "--C", "abc"], "--C", "abc"),
+        (["threshold-sweep", "--sizes", "1,,2"], "--sizes", "1,,2"),
+        (["sphere-ft", "--t", "1", "--m", "1,x"], "--m", "1,x"),
+    ])
+    def test_unreadable_flag_names_itself(self, argv, flag, text, capsys):
+        # Fraction's and int()'s own messages name neither the flag nor
+        # always the text (Fraction(1, 0) reports "Fraction(1, 0)")
+        code = main([*argv[:1], "--q", "5", "--d", "2", "--k", "1", *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} ")
+        assert repr(text) in captured.err
         assert captured.err.count("\n") == 1
 
     def test_out_file(self, tmp_path, capsys):
@@ -416,6 +434,14 @@ class TestConfigFile:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    def test_array_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text(json.dumps([{"q": 3}]))
+        assert main(["verify-identities", "--q", "3", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --config must contain a JSON object\n"
 
     def test_config_supplies_flags(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -595,7 +621,8 @@ class TestSharpnessChecks:
         ["threshold-sweep", "--q", "3", "--d", "2", "--k", "1", "--use-sharpness"],
     ])
     def test_wrong_distance_set_exits_1(self, argv, monkeypatch, capsys):
-        monkeypatch.setattr(distance, "_distance_indices", lambda E, k: {0, 1})
+        # the sweep reaches the pair loop through harness's own binding
+        monkeypatch.setattr(harness, "_distance_indices", lambda E, k: {0, 1})
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 1
