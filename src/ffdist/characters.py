@@ -30,19 +30,39 @@ SQRT_TOL = 1e-6
 
 class CharacterTable:
     """Per-field character data shared by every downstream sum: the standard
-    Gauss sum, plus spectral_cache.
+    Gauss sum, spectral_cache and spectral_plans.
 
     spectral_cache holds the spectral summary of distance.nu_spectral and
     distance.bounds: one slot per d, serving every k and t, holding the
     summary of the last energy mapping seen there together with that
-    mapping's exact contents, so it never holds more than one summary per d.
+    mapping's exact contents, so it never holds more than one summary per d
+    (its (d + 1)(q - 1) rows and, per t read, d + 1 transforms, of p ints
+    each).
+
+    spectral_plans holds the spectral plan of each d: what the spectral route
+    over GF(q)^d reads that depends on no set, in two halves keyed by
+    (kind, d), fourier._EnergyPlan and distance._SummaryPlan.  Each is built
+    on first use and kept, for every later set, as long as the table.  A
+    plan keeps nothing per line, point or (s, t) pair: its entries grow with
+    the square classes of F_q^d and F_q^{d-1} (times 2^d and q), never with
+    q^d.
     """
 
     def __init__(self, field: Field) -> None:
+        if not isinstance(field, Field):
+            raise ValueError(f"field must be a Field, got {field!r}")
         self.field = field
         self._gauss_standard: Optional[Cyclotomic] = None
-        # used by the distance module
+        # used by the fourier and distance modules
         self.spectral_cache: dict = {}
+        self.spectral_plans: dict[tuple[type, int], object] = {}
+
+    def spectral_plan(self, kind: type, d: int):
+        """The plan kind(field, d) of GF(q)^d, built on first use."""
+        plan = self.spectral_plans.get((kind, d))
+        if plan is None:
+            plan = self.spectral_plans[kind, d] = kind(self.field, d)
+        return plan
 
     def chi(self, a: FieldElement) -> Cyclotomic:
         """chi_1(a) = zeta_p^{Tr(a)}."""

@@ -45,6 +45,12 @@ def check_odd_prime(p: int) -> None:
         raise ValueError(f"expected an odd prime, got {p!r}")
 
 
+@lru_cache(maxsize=None)
+def _roots(p: int) -> tuple[complex, ...]:
+    """The embedded powers of zeta_p: exp(2 pi i j / p) for 0 <= j < p."""
+    return tuple(cmath.exp(2j * math.pi * j / p) for j in range(p))
+
+
 def rotated(c: Sequence[int], j: int) -> Sequence[int]:
     """The coefficients of zeta^j times sum_l c[l] zeta^l, for 0 <= j < p: c
     rotated j places (a list for a list, a tuple for a tuple)."""
@@ -241,12 +247,9 @@ class Cyclotomic:
 
     def to_complex(self) -> complex:
         """Numeric embedding zeta_p |-> exp(2*pi*i/p)."""
-        p, den = self.p, self.den
+        den, roots = self.den, _roots(self.p)
         # c / den is correctly rounded, as float(Fraction(c, den)) is
-        return sum(
-            (c / den * cmath.exp(2j * math.pi * j / p) for j, c in enumerate(self.num) if c),
-            complex(0.0),
-        )
+        return sum((c / den * roots[j] for j, c in enumerate(self.num) if c), complex(0.0))
 
     def __abs__(self) -> float:
         return abs(self.to_complex())

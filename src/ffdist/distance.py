@@ -36,11 +36,18 @@ x with at least k zero coordinates (their k-norm is 0), and the s = 0
 subset sums of those strata are the b_aux weights, so
 nu_E(0) = q^{d-1} (A_k(0) + B_k) - q^d b_aux(k) from the same sums.  The
 tables, B_k and b_aux(k) for every k, and the b_main/m1/m2/m3 sums form one
-summary per (energy, d), with one _elementary_symmetric and one _m_weights
-per zero count present, kept in the table's spectral_cache (one slot per
+summary per (energy, d), kept in the table's spectral_cache (one slot per
 d, matched against the mapping's exact contents).  The brute and closed
 sphere_ft and a_term stay as oracles for the tests and the sphere-ft
 command.
+
+What depends on no energy runs once per (field, d), in the table's
+spectral plan (_SummaryPlan): the subset-norm counts of each square class,
+the weights of each zero count (its one _elementary_symmetric and one
+_m_weights), the scalars c_k(i) (eta(-1) q)^{floor(i/2)} and the row
+shifts Tr(-u/4s).  Per energy run the sums over its keys: the tables F_i,
+their rows and transforms, the B sums and the rational read-outs.
+spectral_energy keeps its own set-independent half in the same plan.
 
 The direct count and the distance set read the same pair loop over
 E x E, _k_norm_rows.  It runs the k-norm as a state machine on element
@@ -252,6 +259,66 @@ def _c_k(d: int, k: int, i: int) -> int:
                for j in range(max(i, d - k + 1), d + 1))
 
 
+class _SummaryPlan:
+    """What _SpectralSummary over GF(q)^d reads that depends on no energy.
+
+    scalars[k][i] = c_k(i) (eta(-1) q)^{floor(i/2)}, the scalar of T_i(t)
+    in A_k(t), and shifts[s - 1][u] = Tr(-u/4s) for s in F_q*, the
+    rotation of F_i[u] in the row R_i(s).  Filled on first use, per key
+    read: levels(m) gives, for m's square class, its zero count and its
+    subset-norm counts levels[i][u] = #{I : |I| = i, u_I = u}; weights(w, m)
+    gives, for the zero count w of m, the weights of the energy of the keys
+    with that count in b_main, m1, m2, m3, B_k and b_aux(k) for each k
+    (one _elementary_symmetric and one _m_weights per zero count).
+    """
+
+    __slots__ = ("field", "d", "scalars", "shifts", "_levels", "_weights")
+
+    def __init__(self, f: Field, d: int) -> None:
+        p, q = f.p, f.q
+        self.field, self.d = f, d
+        eta_q = f._quad[f._neg[1]] * q  # G_1^2
+        self.scalars = {k: [_c_k(d, k, i) * eta_q ** (i // 2) for i in range(d + 1)]
+                        for k in range(1, d + 1)}
+        trace, neg, inv, mul = f._trace, f._neg, f._inv, f._mul
+        self.shifts = []
+        for s in range(1, q):
+            w = neg[inv[mul[4 % p][s]]]  # -1/4s
+            self.shifts.append([trace[mul[u][w]] for u in range(q)])
+        self._levels: dict[tuple[int, ...], tuple[int, list[dict[int, int]]]] = {}
+        self._weights: dict[int, tuple[int, ...]] = {}
+
+    def levels(self, m: Point) -> tuple[int, list[dict[int, int]]]:
+        key = m.square_class()
+        out = self._levels.get(key)
+        if out is None:
+            add = self.field._add
+            # one squared coordinate at a time
+            levels: list[dict[int, int]] = [{0: 1}]
+            for r in key:
+                levels.append({})
+                for i in range(len(levels) - 1, 0, -1):
+                    dst = levels[i]
+                    for u, n in levels[i - 1].items():
+                        v = add[u][r]
+                        dst[v] = dst.get(v, 0) + n
+            out = self._levels[key] = (key.count(0), levels)
+        return out
+
+    def weights(self, w: int, m: Point) -> tuple[int, ...]:
+        out = self._weights.get(w)
+        if out is None:
+            d = self.d
+            # strata[alpha] = e_{d - alpha}, the s = 0 subset sum of the
+            # stratum alpha
+            strata = _elementary_symmetric(_zero_pattern_factors(self.field, m))[::-1]
+            below = list(accumulate(strata))  # below[k - 1]: alpha < k
+            above = list(accumulate(strata[::-1]))[::-1]  # above[k]: alpha >= k
+            out = self._weights[w] = (sum(strata), *_m_weights(self.field.q, m),
+                                      *below[:d], *(-a for a in above[1:]))
+        return out
+
+
 class _SpectralSummary:
     """The t- and k-independent parts of nu_spectral and bounds for one
     (energy, d).
@@ -270,40 +337,31 @@ class _SpectralSummary:
 
     B_k, b_aux(k) (for every k), b_main and m1/m2/m3 depend on a key only
     through its zero count, so they are read from the energy summed per zero
-    count: one _elementary_symmetric and one _m_weights per zero count
-    present.
+    count, times that count's weights.
+
+    The subset-norm counts of each square class, the weights of each zero
+    count, the scalars and the row shifts come from the table's plan of
+    GF(q)^d (_SummaryPlan), built once per (field, d); the sums over the
+    energy are formed here, per summary.
     """
 
     def __init__(self, table: CharacterTable, d: int, contents: tuple) -> None:
         f = table.field
         p, q = f.p, f.q
+        plan = table.spectral_plan(_SummaryPlan, d)
         self.field, self.d, self.contents = f, d, contents
+        self.scalars = plan.scalars
         g1 = table.gauss_standard().num
-        eta_q = f._quad[f._neg[1]] * q  # G_1^2
-        # the scalar of T_i(t) in A_k(t): c_k(i) (eta(-1) q)^{floor(i/2)}
-        self.scalars = {k: [_c_k(d, k, i) * eta_q ** (i // 2) for i in range(d + 1)]
-                        for k in range(1, d + 1)}
         # every sum runs on int coefficients over one common denominator
         nums, self.den = common_denominator(p, (e for _, e in contents))
-        add, mul = f._add, f._mul
         tables: list[dict[int, list[int]]] = [{} for _ in range(d + 1)]
         # zero count -> (a key with it, the energy summed over those keys)
         by_zeros: dict[int, tuple[Point, list[int]]] = {}
         for (m, _), num in zip(contents, nums):
-            w = m.zero_count()
+            w, levels = plan.levels(m)
             entry = by_zeros.get(w)
             by_zeros[w] = (m, num) if entry is None else (
                 entry[0], list(map(operator.add, entry[1], num)))
-            # levels[i][u] = #{I : |I| = i, u_I = u}, one coordinate at a time
-            levels: list[dict[int, int]] = [{0: 1}]
-            for x in m.idx:
-                r = mul[x][x]
-                levels.append({})
-                for i in range(len(levels) - 1, 0, -1):
-                    dst = levels[i]
-                    for u, n in levels[i - 1].items():
-                        v = add[u][r]
-                        dst[v] = dst.get(v, 0) + n
             for table_i, level in zip(tables, levels):
                 for u, n in level.items():
                     row = table_i.get(u)
@@ -312,26 +370,19 @@ class _SpectralSummary:
         for table_i in tables[1::2]:
             for u, c in table_i.items():
                 table_i[u] = convolve(c, g1)
-        trace, neg, inv, quad = f._trace, f._neg, f._inv, f._quad
-        quarters = [neg[inv[mul[4 % p][s]]] for s in range(1, q)]  # -1/4s
+        quad = f._quad
         self.rows = []
         for i, table_i in enumerate(tables):
             rows_i = []
-            for s, w in enumerate(quarters, 1):
-                row = rotated_sum(p, table_i.values(), [trace[mul[u][w]] for u in table_i])
+            for s, shift in enumerate(plan.shifts, 1):
+                row = rotated_sum(p, table_i.values(), map(shift.__getitem__, table_i))
                 rows_i.append([-c for c in row] if i % 2 and quad[s] < 0 else row)
             self.rows.append(rows_i)
         # per zero count: b_main, m1, m2, m3, then B_k and b_aux(k) for each k
         sums = [[0] * p for _ in range(4 + 2 * d)]
-        for m, acc in by_zeros.values():
-            # strata[alpha] = e_{d - alpha}, the s = 0 subset sum of the
-            # stratum alpha
-            strata = _elementary_symmetric(_zero_pattern_factors(f, m))[::-1]
-            below = list(accumulate(strata))  # below[k - 1]: alpha < k
-            above = list(accumulate(strata[::-1]))[::-1]  # above[k]: alpha >= k
-            weights = (sum(strata), *_m_weights(q, m), *below[:d], *(-a for a in above[1:]))
-            sums = [[a + w * c for a, c in zip(total, acc)]
-                    for total, w in zip(sums, weights)]
+        for w, (m, acc) in by_zeros.items():
+            sums = [[a + x * c for a, c in zip(total, acc)]
+                    for total, x in zip(sums, plan.weights(w, m))]
         values = [Cyclotomic._over(p, total, self.den).rational_value() for total in sums]
         self.b_main, self.m1, self.m2, self.m3 = values[:4]
         self.b_sum = dict(enumerate(values[4:4 + d], 1))

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import product
-from typing import Iterable, Mapping, Union
+from itertools import combinations_with_replacement, product
+from typing import Iterable, Mapping, Optional, Union
 
+from .characters import character_table
 from .cyclotomic import Cyclotomic, common_denominator, conjugated, convolve, rotated_sum
 from .gf import Field, Point, enumerate_vectors, point_indices, space_size
 
@@ -34,6 +35,8 @@ class PointSet:
     __slots__ = ("field", "d", "points", "_index_set")
 
     def __init__(self, field: Field, d: int, members: Iterable[Point]) -> None:
+        if not isinstance(field, Field):
+            raise ValueError(f"field must be a Field, got {field!r}")
         if type(d) is not int or d < 1:
             raise ValueError(f"dimension must be an int >= 1, got {d!r}")
         seen = {point_indices(field, d, pt): pt for pt in members}
@@ -126,6 +129,59 @@ def inverse_dft(field: Field, d: int,
     return _transform(field, d, fhat, 1, 1)
 
 
+class _EnergyPlan:
+    """What spectral_energy over GF(q)^d reads that depends on no set.
+
+    A square class is named by its sorted squares (its key) or by its id,
+    its place in the lexicographic order of the classes' first members, so
+    id 0 is the class of 0; firsts holds each first member as a Point, in
+    that order.  scaled holds, for each a in F_p* below p/2, the map
+    j -> a j of count-vector indices.  Filled on first use, per key read:
+    line_ids(head) gives, for the sorted squares head of d-1 leading
+    coordinates, the class id of the line ending in v at each v;
+    targets(i) gives, for the class id i of a line representative m, the
+    class id of a m at each a of scaled.
+    """
+
+    __slots__ = ("field", "keys", "ids", "firsts", "scaled", "_lines", "_targets")
+
+    def __init__(self, f: Field, d: int) -> None:
+        p, q, mul = f.p, f.q, f._mul
+        # the first member of a class sorts the smallest square roots of its
+        # squares
+        root = [0] * q
+        for x in range(q - 1, 0, -1):
+            root[mul[x][x]] = x
+        squares = sorted({mul[x][x] for x in range(q)})
+        firsts = {key: tuple(sorted(root[r] for r in key))
+                  for key in combinations_with_replacement(squares, d)}
+        self.field = f
+        self.keys = sorted(firsts, key=firsts.__getitem__)
+        self.ids = {key: i for i, key in enumerate(self.keys)}
+        self.firsts = [Point(f, firsts[key]) for key in self.keys]
+        self.scaled = [[a * j % p for j in range(p)] for a in range(1, (p + 1) // 2)]
+        self._lines: dict[tuple[int, ...], list[int]] = {}
+        self._targets: dict[int, list[int]] = {}
+
+    def line_ids(self, head: tuple[int, ...]) -> list[int]:
+        ids = self._lines.get(head)
+        if ids is None:
+            mul, get = self.field._mul, self.ids.__getitem__
+            ids = self._lines[head] = [get(tuple(sorted(head + (mul[v][v],))))
+                                       for v in range(self.field.q)]
+        return ids
+
+    def targets(self, i: int) -> list[int]:
+        out = self._targets.get(i)
+        if out is None:
+            key, get, f = self.keys[i], self.ids.__getitem__, self.field
+            # a m has the squares a^2 m_i^2 (a has index a)
+            rows = [f._mul[a * a % f.p] for a in range(1, (f.p + 1) // 2)]
+            out = self._targets[i] = [get(tuple(sorted([row[r] for r in key])))
+                                      for row in rows]
+        return out
+
+
 def spectral_energy(E: PointSet) -> dict[Point, Cyclotomic]:
     """|Ehat|^2 summed per square class: m -> sum of |Ehat(m')|^2 over the
     frequencies m' with m'.square_class() == m.square_class().
@@ -144,11 +200,19 @@ def spectral_energy(E: PointSet) -> dict[Point, Cyclotomic]:
     a Tr(-x.m), so |Ehat(a m)|^2 is that square with its index j moved to
     a j; and -a m has the class and the square of a m.  Each class sum is
     scaled once by q^{-2d}.
+
+    Once per (field, d), in the shared character_table's plan (_EnergyPlan):
+    the square classes, their order and first members, the class of each
+    line representative (read per prefix, as the row of the prefix's
+    squares at the last coordinate) and the class of each of its F_p*
+    multiples.  Per E: the count vectors and their squares, their sums per
+    line class, the scaled sums per class and the read-out.
     """
     _check_set(E)
     f = E.field
     p, q, d = f.p, f.q, E.d
     space_size(q, d)
+    plan = character_table(f).spectral_plan(_EnergyPlan, d)
     add, mul, dot, trace, neg = f._add, f._mul, f.dot, f._trace, f._neg
     # Tr(-x.m) = Tr((-x).m)
     pts = [[neg[c] for c in x.idx] for x in E]
@@ -162,11 +226,11 @@ def spectral_energy(E: PointSet) -> dict[Point, Cyclotomic]:
         for head in leads:
             for tail in product(range(q), repeat=d - lead - 2):
                 prefixes.append(((0,) * lead + (head,) + tail, range(q)))
-    # the squares of the line representatives, summed per class
-    lines: dict[tuple[int, ...], list[int]] = {}
+    # the squares of the line representatives, summed per line class id
+    lines: dict[int, list[int]] = {}
     for prefix, values in prefixes:
         base = [dot(x, prefix) for x in pts]  # zip stops at the prefix
-        squares = [mul[x][x] for x in prefix]
+        ids = plan.line_ids(tuple(sorted([mul[x][x] for x in prefix])))
         for v in values:
             times_v = mul[v]
             c = [0] * p
@@ -174,31 +238,26 @@ def spectral_energy(E: PointSet) -> dict[Point, Cyclotomic]:
                 c[trace[add[b][times_v[x]]]] += 1
             # |sum_j c_j zeta^j|^2, the count vector times its conjugate
             sq = convolve(c, conjugated(c))
-            key = tuple(sorted(squares + [times_v[v]]))
-            acc = lines.get(key)
-            lines[key] = sq if acc is None else list(map(operator.add, acc, sq))
+            i = ids[v]
+            acc = lines.get(i)
+            lines[i] = sq if acc is None else list(map(operator.add, acc, sq))
     # a m has the squares a^2 m_i^2 and the square of m with each index j
     # moved to a j; -a m has the class and the square of a m (a has index a)
-    acc0 = [0] * p
-    acc0[0] = len(pts) ** 2  # q^d Ehat(0) = |E|
-    classes: dict[tuple[int, ...], list[int]] = {(0,) * d: acc0}
-    for a in range(1, (p + 1) // 2):
-        row, scaled = mul[a * a % p], [a * j % p for j in range(p)]
-        for key, sq in lines.items():
-            acc = classes.setdefault(tuple(sorted([row[r] for r in key])), [0] * p)
+    classes: list[Optional[list[int]]] = [None] * len(plan.firsts)
+    classes[0] = [len(pts) ** 2] + [0] * (p - 1)  # q^d Ehat(0) = |E|
+    for i, sq in lines.items():
+        for c, scaled in zip(plan.targets(i), plan.scaled):
+            acc = classes[c]
+            if acc is None:
+                acc = classes[c] = [0] * p
             for j, v in enumerate(sq):
                 acc[scaled[j]] += 2 * v
-    # the first member of a class sorts the smallest square roots of its
-    # squares; classes are keyed by it, in lexicographic order
-    root = [0] * q
-    for x in range(q - 1, 0, -1):
-        root[mul[x][x]] = x
     energy = {}
-    for first, acc in sorted((tuple(sorted(root[r] for r in key)), acc)
-                             for key, acc in classes.items()):
-        e = Cyclotomic._over(p, acc, q ** (2 * d))
-        if e:
-            energy[Point(f, first)] = e
+    for first, acc in zip(plan.firsts, classes):
+        if acc is not None:
+            e = Cyclotomic._over(p, acc, q ** (2 * d))
+            if e:
+                energy[first] = e
     return energy
 
 

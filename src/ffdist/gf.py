@@ -199,7 +199,7 @@ class Field:
     """GF(p^s) for an odd prime p, with dense arithmetic tables."""
 
     def __init__(self, p: int, s: int) -> None:
-        if not isinstance(s, int) or s < 1:
+        if type(s) is not int or s < 1:  # not a bool: make_field's cache is typed
             raise ValueError(f"extension degree must be >= 1, got {s!r}")
         # the size check comes first: a huge p would cost O(sqrt p) in the
         # primality test, and a huge s a huge int in p**s (2^s > _MAX_Q
@@ -339,7 +339,7 @@ class Field:
     __eq__ = object.__eq__
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: s = 2.0 must not hit s = 2
 def make_field(p: int, s: int = 1) -> Field:
     """Construct (and cache) GF(p^s) with the deterministic modulus."""
     return Field(p, s)

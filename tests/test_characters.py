@@ -79,6 +79,14 @@ class TestCharacterTable:
         t = table_for(9)
         assert any(t.chi(c) != 1 for c in t.field.elements)
 
+    @pytest.mark.parametrize("field", [None, 5, "GF(5)"])
+    def test_field_required(self, field):
+        # a table of no field would carry spectral plans for nothing
+        with pytest.raises(ValueError, match="field must be a Field"):
+            character_table(field)
+        with pytest.raises(ValueError, match="field must be a Field"):
+            characters.CharacterTable(field)
+
 
 class TestGaussSums:
     def test_q3_standard(self):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -209,6 +210,18 @@ class TestComplexEmbedding:
         lhs = (a * b).to_complex()
         rhs = a.to_complex() * b.to_complex()
         assert abs(lhs - rhs) <= 1e-9 * (1 + abs(a) * abs(b))
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 19, 251])
+    def test_bit_identical_to_per_call_roots(self, p):
+        # the cached roots are the cmath.exp values each call used to make,
+        # summed in the same order, so every float is unchanged
+        rng = random.Random(p)
+        for _ in range(50):
+            num = [rng.choice([0, 0, rng.randint(-99, 99)]) for _ in range(p)]
+            v = Cyclotomic(p, num) * Fraction(1, rng.randint(1, 60))
+            want = sum((c / v.den * cmath.exp(2j * math.pi * j / p)
+                        for j, c in enumerate(v.num) if c), complex(0.0))
+            assert v.to_complex() == want
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

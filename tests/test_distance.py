@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from ffdist.characters import CharacterTable, character_table
 from ffdist.cyclotomic import Cyclotomic
-from ffdist import distance, geometry, gf
+from ffdist import distance, fourier, geometry, gf
 from ffdist.distance import (BoundReport, _distance_indices,
                              alternating_binomial_sum, bounds, distance_set,
                              nu_direct_all, nu_spectral, sharpness_example)
@@ -506,6 +507,30 @@ class TestSpectralSummary:
             assert reports == [_reference_bounds(E, t, k, table, e) for t in f.elements[1:]]
         assert set(table.spectral_cache) == {3}
 
+    def test_warm_plan_changes_no_value(self, monkeypatch):
+        # one shared table per field, its plans warm after the first set and
+        # d interleaved on GF(5); every value equals the one read through
+        # fresh tables (cold plans) and the direct count
+        for q, ds in ((5, (3, 2)), (9, (2,)), (7, (3,)), (25, (2,))):
+            f = field_for(q)
+            table = character_table(f)
+            for i in range(20):
+                for d in ds:
+                    sizes = (1, 3, q, q ** (d - 1))
+                    E = random_subset(f, d, sizes[i % 4], seed=f"{q}:{d}:{i}")
+                    energy = spectral_energy(E)
+                    with monkeypatch.context() as m:
+                        m.setattr(fourier, "character_table", CharacterTable)
+                        assert list(spectral_energy(E).items()) == list(energy.items())
+                    for k in range(1, d + 1):
+                        direct, cold = nu_direct_all(E, k), CharacterTable(f)
+                        for t in f.elements:
+                            got = nu_spectral(E, t, k, table, energy)
+                            assert got == nu_spectral(E, t, k, cold, energy) == direct[t.index]
+                            if not t.is_zero:
+                                assert (bounds(E, t, k, table, energy)
+                                        == bounds(E, t, k, cold, energy))
+
     @pytest.mark.parametrize("q,d", [(3, 2), (5, 3), (9, 2), (25, 2)])
     def test_a_part_is_the_a_term_sum(self, q, d):
         # A_k(t) from the subset-norm tables equals sum_C e_C A(C, t)
@@ -520,6 +545,80 @@ class TestSpectralSummary:
                 for m, e in energy.items():
                     want = want + e * a_term(table, m, t, k)
                 assert summary.a_part(t, k) == want
+
+
+def _entries(x):
+    """The entries a spectral plan stores: one per scalar slot of a list or
+    tuple and per dict item with a scalar value, nested containers and the
+    plan objects' slots walked (their field left out); a Point is one."""
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, (list, tuple)):
+        return sum(_entries(v) for v in x)
+    slots = getattr(type(x), "__slots__", ())
+    if slots and not isinstance(x, Point):
+        return sum(_entries(getattr(x, name)) for name in slots if name != "field")
+    return 1
+
+
+class TestSpectralPlan:
+    """The set-independent half of the spectral route: one plan per
+    (field, d) on the table, filled on first use and read by every set."""
+
+    def test_weights_once_per_zero_count(self, monkeypatch):
+        f = make_field(5)
+        table = CharacterTable(f)
+        calls = Counter()
+        m_weights, symmetric = distance._m_weights, distance._elementary_symmetric
+
+        def counted_m_weights(q, m):
+            calls["_m_weights", m.zero_count()] += 1
+            return m_weights(q, m)
+
+        def counted_symmetric(factors):
+            calls["_elementary_symmetric", factors.count(f.q - 1)] += 1
+            return symmetric(factors)
+
+        monkeypatch.setattr(distance, "_m_weights", counted_m_weights)
+        monkeypatch.setattr(distance, "_elementary_symmetric", counted_symmetric)
+        zeros = set()
+        for i in range(20):
+            E = random_subset(f, 3, (1, 3, 5, 25)[i % 4], seed=f"weights:{i}")
+            energy = spectral_energy(E)
+            zeros.update(m.zero_count() for m in energy)
+            for k in range(1, 4):
+                for t in f.elements:
+                    nu_spectral(E, t, k, table, energy)
+                    if not t.is_zero:
+                        bounds(E, t, k, table, energy)
+        assert zeros == {0, 1, 2, 3}
+        assert calls == {(name, w): 1 for name in ("_m_weights", "_elementary_symmetric")
+                         for w in zeros}
+
+    @pytest.mark.parametrize("q,d", [(3, 8), (5, 4)])
+    def test_size_within_class_bound(self, q, d):
+        # a one-point set visits every square class; a second set adds no
+        # entry, and the plan stays within the square classes of F_q^d and
+        # F_q^(d-1) times (2^d + q), here below the q^d points
+        f = field_for(q)
+        table = character_table(f)
+        squares = (q + 1) // 2
+
+        def classes(n):
+            return math.comb(squares + n - 1, n)
+
+        point = PointSet(f, d, [point_from_index(f, d, 0)])
+        assert len(spectral_energy(point)) == classes(d)
+        sizes = []
+        for E in (point, random_subset(f, d, q * q, seed=q)):
+            energy = spectral_energy(E)
+            for k in range(1, d + 1):
+                nu_spectral(E, f.zero, k, table, energy)
+                bounds(E, f.one, k, table, energy)
+            plan = {kind: v for (kind, e), v in table.spectral_plans.items() if e == d}
+            assert set(plan) == {fourier._EnergyPlan, distance._SummaryPlan}
+            sizes.append(_entries(plan))
+        assert sizes[0] == sizes[1] <= (classes(d) + classes(d - 1)) * (2 ** d + q) < q ** d
 
 
 class TestFieldChecks:

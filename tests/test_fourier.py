@@ -38,6 +38,12 @@ class TestPointSet:
         with pytest.raises(ValueError):
             PointSet(f, 2, [Point(f, (1,))])
 
+    @pytest.mark.parametrize("field", [None, 3])
+    def test_field_required(self, field):
+        f = make_field(3)
+        with pytest.raises(ValueError, match="field must be a Field"):
+            PointSet(field, 2, [Point(f, (1, 0))])
+
 
 class TestDft:
     def test_point_mass(self):

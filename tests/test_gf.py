@@ -110,6 +110,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Field(3, 0)
 
+    def test_non_int_degree_misses_the_cache(self):
+        # 2.0 == 2 and True == 1 hash alike; the cache must not hand back
+        # GF(25) or GF(5), and a bool degree must not build a second GF(5)
+        assert make_field(5, 2).q == 25 and make_field(5, 1).q == 5
+        for p, s in ((5, 2.0), (5.0, 2), (5, True)):
+            with pytest.raises(ValueError, match="extension degree|odd prime"):
+                make_field(p, s)
+
     @pytest.mark.parametrize("p,s", [(10000000000000061, 1), (10000000000000061, 2),
                                      (3, 7), (3, 40), (3, 0)])
     def test_size_checked_before_primality(self, p, s, monkeypatch):
