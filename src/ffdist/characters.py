@@ -23,7 +23,8 @@ from operator import getitem, itemgetter
 from typing import Optional
 
 from .cyclotomic import Cyclotomic
-from .gf import Field, FieldElement, Point, index_vectors, point_dim_indices
+from .gf import (ELEMENT, FIELD, POINT, ArgumentError, Field, FieldElement, Point,
+                 index_vectors, takes)
 
 SQRT_TOL = 1e-6
 
@@ -48,9 +49,8 @@ class CharacterTable:
     q^d.
     """
 
+    @takes(field=FIELD)
     def __init__(self, field: Field) -> None:
-        if not isinstance(field, Field):
-            raise ValueError(f"field must be a Field, got {field!r}")
         self.field = field
         self._gauss_standard: Optional[Cyclotomic] = None
         # used by the fourier and distance modules
@@ -74,6 +74,17 @@ class CharacterTable:
         return self._gauss_standard
 
 
+def TABLE(value, name, field, d):
+    """A CharacterTable, of the field fixed so far if one is; it fixes its
+    field.  A table of another field is refused as its elements are."""
+    if not isinstance(value, CharacterTable):
+        raise ArgumentError(f"{name}: {value!r} is not a CharacterTable")
+    if field is not None:
+        ELEMENT(value.field.zero, name, field, d)
+    return value.field, d
+
+
+@takes(field=FIELD)
 @lru_cache(maxsize=None)
 def character_table(field: Field) -> CharacterTable:
     """Shared per-field CharacterTable (its Gauss sum and spectral summary
@@ -81,26 +92,10 @@ def character_table(field: Field) -> CharacterTable:
     return CharacterTable(field)
 
 
-def _table_field(table: CharacterTable) -> Field:
-    """table's field, once table is checked to be a CharacterTable."""
-    if not isinstance(table, CharacterTable):
-        raise ValueError(f"{table!r} is not a CharacterTable")
-    return table.field
-
-
-def _check_field(field: Field, *elements: FieldElement) -> None:
-    """Raise ValueError unless every one of elements is an element of field."""
-    for x in elements:
-        if not isinstance(x, FieldElement):
-            raise ValueError(f"{x!r} is not an element of GF({field.q})")
-        if x.field is not field:
-            raise ValueError("elements belong to different fields")
-
-
+@takes(table=TABLE, a=ELEMENT)
 def gauss_sum(table: CharacterTable, a: FieldElement) -> Cyclotomic:
     """G_a = sum over c in F_q* of eta(c) chi_a(c); G_0 = 0 by orthogonality."""
-    f = _table_field(table)
-    _check_field(f, a)
+    f = table.field
     acc = [0] * f.p
     row, trace, quad = f._mul[a.index], f._trace, f._quad
     for c in range(1, f.q):
@@ -108,6 +103,7 @@ def gauss_sum(table: CharacterTable, a: FieldElement) -> Cyclotomic:
     return Cyclotomic(f.p, acc)
 
 
+@takes(field=FIELD)
 def gauss_closed_form(field: Field) -> complex:
     """The evaluated standard Gauss sum: (-1)^{s-1} q^{1/2} for p = 1 mod 4,
     (-1)^{s-1} i^s q^{1/2} for p = 3 mod 4."""
@@ -131,21 +127,18 @@ class GaussIdentityReport:
         return self.square_sum_ok and self.completed_square_ok and self.vector_ok
 
 
+@takes(table=TABLE, a=ELEMENT, b=ELEMENT, v=POINT)
 def gauss_identities(table: CharacterTable, a: FieldElement, b: FieldElement,
                      v: Point) -> GaussIdentityReport:
     """Verify the three Gauss-sum identities by brute summation vs closed form.
 
-    a and b are checked to belong to the table's field, and v to be a Point
-    of it, before any table is read.  The sums are table passes over element
-    indices (_gauss_sums) over the coordinate columns of all q^d vectors u,
-    which are built on each call (run_identity_checks builds them once).
+    The sums are table passes over element indices (_gauss_sums) over the
+    coordinate columns of all q^d vectors u, which are built on each call
+    (run_identity_checks builds them once).
     """
-    f = _table_field(table)
-    _check_field(f, a, b)
     if a.is_zero:
         raise ValueError("the quadratic coefficient a must be nonzero")
-    d, vi = point_dim_indices(f, v)
-    return _gauss_report(table, a.index, b.index, vi, _gauss_tables(table, d))
+    return _gauss_report(table, a.index, b.index, v.idx, _gauss_tables(table, v.d))
 
 
 def _gauss_tables(table: CharacterTable, d: int) -> tuple:
@@ -211,10 +204,10 @@ def _gauss_report(table: CharacterTable, a: int, b: int, vi: tuple[int, ...],
     return GaussIdentityReport(lhs1 == rhs1, lhs2 == rhs2, lhs3 == rhs3)
 
 
+@takes(table=TABLE, a=ELEMENT, b=ELEMENT)
 def kloosterman(table: CharacterTable, a: FieldElement, b: FieldElement) -> Cyclotomic:
     """K(chi; a, b) = sum over s in F_q* of chi(a s + b s^{-1})."""
-    f = _table_field(table)
-    _check_field(f, a, b)
+    f = table.field
     if a.is_zero or b.is_zero:
         raise ValueError("Kloosterman sums require a != 0 and b != 0")
     acc = [0] * f.p
@@ -236,6 +229,7 @@ class CheckResult:
     detail: str = ""
 
 
+@takes(field=FIELD)
 def run_identity_checks(field: Field) -> list[CheckResult]:
     """Run the character/Gauss/Kloosterman invariant battery for one field."""
     table = CharacterTable(field)

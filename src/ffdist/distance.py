@@ -68,16 +68,17 @@ from fractions import Fraction
 from itertools import accumulate, combinations, repeat
 from typing import Optional
 
-from .characters import CharacterTable, _check_field, _table_field, character_table
+from .characters import TABLE, CharacterTable, character_table
 from .cyclotomic import Cyclotomic, common_denominator, convolve, rotated_sum
-from .fourier import PointSet, _check_set, spectral_energy
-from .gf import Field, FieldElement, Point, enumerate_vectors, point_indices
-from .geometry import _elementary_symmetric, _zero_pattern_factors, check_k
+from .fourier import SET, PointSet, spectral_energy
+from .gf import (DIM, ELEMENT, FIELD, INT, K, MAPPING, Field, FieldElement, Point,
+                 enumerate_vectors, takes)
+from .geometry import _elementary_symmetric, _zero_pattern_factors
 
 
+@takes(E=SET, k=K)
 def distance_set(E: PointSet, k: int) -> list[FieldElement]:
     """D_k(E) = {||x - y||_k : x, y in E}, sorted by element index."""
-    _check_set(E)
     if len(E) == 0:
         raise ValueError("distance set of an empty set is undefined")
     found = _distance_indices(E, k)
@@ -124,7 +125,6 @@ def _k_norm_rows(E: PointSet, k: int):
     per pair, and the tables are built once per call.
     """
     f = E.field
-    check_k(k, E.d)
     pts = [x.idx for x in E]
     if len(pts) < 2:  # itemgetter of one key returns a scalar; x - x = 0
         yield from [[0]] * len(pts)
@@ -151,15 +151,16 @@ def _distance_indices(E: PointSet, k: int) -> set[int]:
     return found
 
 
+@takes(E=SET, k=K)
 def nu_direct_all(E: PointSet, k: int) -> Counter:
     """nu_E(t) for every t at once, by direct pair counting (index -> count)."""
-    _check_set(E)
     counts: Counter = Counter({i: 0 for i in range(E.field.q)})
     for row in _k_norm_rows(E, k):
         counts.update(row)
     return counts
 
 
+@takes(E=SET, t=ELEMENT, k=K, table=TABLE, energy=MAPPING)
 def nu_spectral(E: PointSet, t: FieldElement, k: int,
                 table: Optional[CharacterTable] = None,
                 energy: Optional[dict[Point, Cyclotomic]] = None) -> Fraction:
@@ -174,13 +175,14 @@ def nu_spectral(E: PointSet, t: FieldElement, k: int,
     subset sums over alpha in [k, d], and their energy-weighted sum over
     the keys is -b_aux(k).
     """
-    return _spectral_summary(E, t, k, table, energy).count(t, k).rational_value()
+    return _spectral_summary(E, table, energy).count(t, k).rational_value()
 
 
 # ---------------------------------------------------------------------------
 # the bound machinery
 # ---------------------------------------------------------------------------
 
+@takes(n=INT)
 def alternating_binomial_sum(n: int) -> int:
     """sum over r of (-1)^r C(n, r); 1 for n = 0 and 0 for n >= 1."""
     return sum((-1) ** r * math.comb(n, r) for r in range(n + 1))
@@ -210,17 +212,10 @@ class BoundReport:
     refs: dict = dataclass_field(default_factory=dict)
 
     def components(self) -> dict:
-        return {
-            "a_sum_abs": self.a_sum_abs,
-            "a_bound": self.a_bound,
-            "b_sum": str(self.b_sum),
-            "b_main": str(self.b_main),
-            "b_aux": str(self.b_aux),
-            "b_m1": str(self.b_m1),
-            "b_m2": str(self.b_m2),
-            "b_m3": str(self.b_m3),
-            "refs": {name: value for name, value in sorted(self.refs.items())},
-        }
+        exact = ("b_sum", "b_main", "b_aux", "b_m1", "b_m2", "b_m3")
+        return {"a_sum_abs": self.a_sum_abs, "a_bound": self.a_bound,
+                **{name: str(getattr(self, name)) for name in exact},
+                "refs": dict(sorted(self.refs.items()))}
 
 
 def _m_weights(q: int, m: Point) -> tuple[int, int, int]:
@@ -424,42 +419,26 @@ class _SpectralSummary:
                                 self.den)
 
 
-def _spectral_summary(E: PointSet, t: FieldElement, k: int,
-                      table: Optional[CharacterTable] = None,
-                      energy: Optional[dict[Point, Cyclotomic]] = None, *,
-                      nonzero_t: bool = False) -> _SpectralSummary:
-    """The summary of energy at E.d, the one entry of nu_spectral and
-    bounds; it serves every k and t (nonzero_t refuses t = 0).
+def _spectral_summary(E: PointSet, table: Optional[CharacterTable],
+                      energy: Optional[dict[Point, Cyclotomic]]) -> _SpectralSummary:
+    """The summary of energy at E.d, the one route of nu_spectral and
+    bounds; it serves every k and t.
 
-    t and the table must belong to E's field, and every key of a mapping
-    that is built anew to GF(q)^d: the summary reads each key's coordinates
+    Their declarations check that the table belongs to E's field and every
+    key of the mapping to GF(q)^d: the summary reads each key's coordinates
     through this field's tables, so a key of another field or d would be
     misread, not refused.  table.spectral_cache holds one slot per d,
-    reused when it was built from equal contents; Point equality implies
-    the same field and d, so a reused slot needs no key check.
+    reused when it was built from equal contents.
     """
-    _check_set(E)
-    f = E.field
-    _check_field(f, t)
-    if table is None:
-        table = character_table(f)
-    if _table_field(table) is not f:
-        raise ValueError("elements belong to different fields")
-    if nonzero_t and t.is_zero:
-        raise ValueError("bounds are defined for t != 0")
-    d = E.d
-    check_k(k, d)
-    if energy is None:
-        energy = spectral_energy(E)
-    contents = tuple(energy.items())
-    summary = table.spectral_cache.get(d)
+    table = table or character_table(E.field)
+    contents = tuple((energy if energy is not None else spectral_energy(E)).items())
+    summary = table.spectral_cache.get(E.d)
     if summary is None or summary.contents != contents:
-        for m, _ in contents:
-            point_indices(f, d, m)
-        summary = table.spectral_cache[d] = _SpectralSummary(table, d, contents)
+        summary = table.spectral_cache[E.d] = _SpectralSummary(table, E.d, contents)
     return summary
 
 
+@takes(E=SET, t=ELEMENT, k=K, table=TABLE, energy=MAPPING)
 def bounds(E: PointSet, t: FieldElement, k: int,
            table: Optional[CharacterTable] = None,
            energy: Optional[dict[Point, Cyclotomic]] = None) -> BoundReport:
@@ -468,7 +447,9 @@ def bounds(E: PointSet, t: FieldElement, k: int,
     energy is read as in nu_spectral: A_k(t), the B sums and the m1/m2/m3
     weights all come from the spectral summary of (energy, d).
     """
-    summary = _spectral_summary(E, t, k, table, energy, nonzero_t=True)
+    if t.is_zero:
+        raise ValueError("bounds are defined for t != 0")
+    summary = _spectral_summary(E, table, energy)
     q, d = E.field.q, E.d
     a_bound = 2 * 3**d * q ** (-(d - 1) / 2) * len(E)
 
@@ -491,9 +472,9 @@ def bounds(E: PointSet, t: FieldElement, k: int,
     )
 
 
+@takes(field=FIELD, d=DIM, k=K)
 def sharpness_example(field: Field, d: int, k: int) -> PointSet:
     """E = F_q^{d-k} x {0}^k: a set of size q^{d-k} with D_k(E) = {0}."""
-    check_k(k, d)
     if k == d:
         pts = [Point(field, (0,) * d)]
     else:

@@ -20,11 +20,12 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from typing import Iterable, Mapping, Optional, Union
+from typing import Collection, Mapping, Optional, Union
 
 from .characters import character_table
 from .cyclotomic import Cyclotomic, common_denominator, conjugated, convolve, rotated_sum
-from .gf import Field, Point, enumerate_vectors, point_indices, space_size
+from .gf import (DIM, FIELD, MAPPING, POINTS, ArgumentError, Field, Point, enumerate_vectors,
+                 space_size, takes)
 
 Value = Union[Cyclotomic, int, Fraction]
 
@@ -34,12 +35,9 @@ class PointSet:
 
     __slots__ = ("field", "d", "points", "_index_set")
 
-    def __init__(self, field: Field, d: int, members: Iterable[Point]) -> None:
-        if not isinstance(field, Field):
-            raise ValueError(f"field must be a Field, got {field!r}")
-        if type(d) is not int or d < 1:
-            raise ValueError(f"dimension must be an int >= 1, got {d!r}")
-        seen = {point_indices(field, d, pt): pt for pt in members}
+    @takes(field=FIELD, d=DIM, members=POINTS)
+    def __init__(self, field: Field, d: int, members: Collection[Point]) -> None:
+        seen = {pt.idx: pt for pt in members}
         self.field = field
         self.d = d
         self.points = tuple(sorted(seen.values(), key=lambda p: p.idx))
@@ -67,16 +65,17 @@ class PointSet:
         return f"PointSet(q={self.field.q}, d={self.d}, size={len(self)})"
 
 
-def _check_set(E: PointSet) -> None:
-    """Raise ValueError unless E is a PointSet."""
-    if not isinstance(E, PointSet):
-        raise ValueError(f"{E!r} is not a PointSet")
+def SET(value, name, field, d):
+    """A PointSet; it fixes its field and d."""
+    if not isinstance(value, PointSet):
+        raise ArgumentError(f"{name}: {value!r} is not a PointSet")
+    return value.field, value.d
 
 
 def _transform(field: Field, d: int, f: Mapping[Point, Value], sign: int,
                scale: int) -> dict[Point, Cyclotomic]:
     """y -> sum_x f(x) zeta^{sign Tr(x.y)} / scale at every y of F_q^d, for
-    sign = +-1; absent points are 0.
+    sign = +-1; absent points are 0, and the keys of f are Points of F_q^d.
 
     The values are carried on int coefficients over their common
     denominator, so each sum is one rotated_sum over the support, divided
@@ -84,9 +83,8 @@ def _transform(field: Field, d: int, f: Mapping[Point, Value], sign: int,
     """
     domain = enumerate_vectors(field, d)
     p = field.p
-    keys = [point_indices(field, d, x) for x in f]
     nums, den = common_denominator(p, f.values())
-    support = {x: c for x, c in zip(keys, nums) if any(c)}  # the keys are distinct
+    support = {x.idx: c for x, c in zip(f, nums) if any(c)}  # the keys are distinct
     dot = field.dot
     # Tr is additive, so Tr(-a) = -Tr(a) mod p
     power = [sign * j % p for j in field._trace]
@@ -97,15 +95,16 @@ def _transform(field: Field, d: int, f: Mapping[Point, Value], sign: int,
     return out
 
 
+@takes(field=FIELD, d=DIM, f=MAPPING)
 def dft(field: Field, d: int, f: Mapping[Point, Value]) -> dict[Point, Cyclotomic]:
     """fhat(m) = q^{-d} sum_x f(x) chi(-x.m), of a function given by its
     support (absent points are 0)."""
     return _transform(field, d, f, -1, field.q**d)
 
 
+@takes(E=SET)
 def dft_indicator(E: PointSet) -> dict[Point, Cyclotomic]:
     """Ehat(m) = q^{-d} sum over x in E of chi(-x.m)."""
-    _check_set(E)
     field = E.field
     p = field.p
     scale = Fraction(1, field.q**E.d)
@@ -122,6 +121,7 @@ def dft_indicator(E: PointSet) -> dict[Point, Cyclotomic]:
     return values
 
 
+@takes(field=FIELD, d=DIM, fhat=MAPPING)
 def inverse_dft(field: Field, d: int,
                 fhat: Mapping[Point, Value]) -> dict[Point, Cyclotomic]:
     """f(x) = sum_m chi(m.x) fhat(m); exact inverse of dft (absent
@@ -182,6 +182,7 @@ class _EnergyPlan:
         return out
 
 
+@takes(E=SET)
 def spectral_energy(E: PointSet) -> dict[Point, Cyclotomic]:
     """|Ehat|^2 summed per square class: m -> sum of |Ehat(m')|^2 over the
     frequencies m' with m'.square_class() == m.square_class().
@@ -208,7 +209,6 @@ def spectral_energy(E: PointSet) -> dict[Point, Cyclotomic]:
     multiples.  Per E: the count vectors and their squares, their sums per
     line class, the scaled sums per class and the read-out.
     """
-    _check_set(E)
     f = E.field
     p, q, d = f.p, f.q, E.d
     space_size(q, d)
@@ -261,9 +261,9 @@ def spectral_energy(E: PointSet) -> dict[Point, Cyclotomic]:
     return energy
 
 
+@takes(E=SET)
 def plancherel_check(E: PointSet) -> tuple[Fraction, Fraction]:
     """(sum_m |Ehat(m)|^2, q^{-d} |E|); the two must be equal exactly."""
-    _check_set(E)
     field = E.field
     total = Cyclotomic.zero(field.p)
     for v in spectral_energy(E).values():

@@ -27,50 +27,30 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Sequence
 
-from .characters import CharacterTable, _check_field, _table_field
+from .characters import TABLE, CharacterTable
 from .cyclotomic import Cyclotomic
 from .fourier import PointSet
-from .gf import (Field, FieldElement, Point, enumerate_vectors, point_dim_indices,
-                 point_indices)
+from .gf import (ALPHA, DIM, ELEMENT, FIELD, K, POINT, Field, FieldElement, Point,
+                 enumerate_vectors, takes)
 
 
-def _check_range(name: str, value: int, lo: int, hi: int) -> None:
-    """Raise ValueError unless value is an int with lo <= value <= hi."""
-    if not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if not lo <= value <= hi:
-        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
-
-
-def check_k(k: int, d: int) -> None:
-    """Raise ValueError unless k is an int with 1 <= k <= d."""
-    _check_range("k", k, 1, d)
-
-
+@takes(x=POINT, k=K)
 def k_norm(x: Point, k: int) -> FieldElement:
     """||x||_k: the sum of squares if Z(x) <= k-1, else 0."""
-    if not isinstance(x, Point):  # no field to name: refused before x.d is read
-        raise ValueError(f"{x!r} does not belong to any GF(q)^d")
-    check_k(k, x.d)
-    if x.zero_count() <= k - 1:
-        return x.norm()
-    return x.field.zero
+    return x.norm() if x.zero_count() <= k - 1 else x.field.zero
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: alpha = 1.0 must not hit alpha = 1
+@takes(field=FIELD, d=DIM, alpha=ALPHA)  # so only checked ints reach the cache
+@lru_cache(maxsize=None)
 def stratum(field: Field, d: int, alpha: int) -> PointSet:
     """N_alpha: points with exactly alpha zero coordinates."""
-    _check_range("alpha", alpha, 0, d)
-    pts = [x for x in enumerate_vectors(field, d) if x.zero_count() == alpha]
-    return PointSet(field, d, pts)
+    return PointSet(field, d, [x for x in enumerate_vectors(field, d) if x.zero_count() == alpha])
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: k = 1.0 must not hit k = 1
+@takes(field=FIELD, d=DIM, k=K, t=ELEMENT)
+@lru_cache(maxsize=None)
 def sphere_points(field: Field, d: int, k: int, t: FieldElement) -> PointSet:
-    _check_field(field, t)
-    check_k(k, d)
-    pts = [x for x in enumerate_vectors(field, d) if k_norm(x, k) == t]
-    return PointSet(field, d, pts)
+    return PointSet(field, d, [x for x in enumerate_vectors(field, d) if k_norm(x, k) == t])
 
 
 # ---------------------------------------------------------------------------
@@ -104,18 +84,18 @@ def _quadratic_factors(table: CharacterTable, s: FieldElement, m: Point) -> list
     return [g1.times_root(trace[mul[w][mul[c][c]]]) - 1 for c in m.idx]
 
 
+@takes(table=TABLE, d=DIM, alpha=ALPHA, s=ELEMENT, m=POINT)
 def stratum_sum_brute(table: CharacterTable, d: int, alpha: int, s: FieldElement,
                       m: Point) -> Cyclotomic:
     """sum over x in N_alpha of chi(s ||x|| - m.x), by direct enumeration."""
-    f = _table_field(table)
-    _check_field(f, s)
-    mi = point_indices(f, d, m)
+    f, mi = table.field, m.idx
     row, dot, add, neg, trace = f._mul[s.index], f.dot, f._add, f._neg, f._trace
     counts = Counter(trace[add[row[dot(x.idx, x.idx)]][neg[dot(mi, x.idx)]]]
                      for x in stratum(f, d, alpha))
     return Cyclotomic.from_counts(f.p, counts)
 
 
+@takes(table=TABLE, d=DIM, alpha=ALPHA, s=ELEMENT, m=POINT)
 def lemma31_sum(table: CharacterTable, d: int, alpha: int, s: FieldElement,
                 m: Point) -> Cyclotomic:
     """The same stratum sum via the closed form.
@@ -124,23 +104,18 @@ def lemma31_sum(table: CharacterTable, d: int, alpha: int, s: FieldElement,
     s = 0 it contributes (q-1)^{Z(m_I)} (-1)^{|I| - Z(m_I)}.  The empty
     subset (alpha = d) contributes 1 in both branches.
     """
-    f = _table_field(table)
-    _check_field(f, s)
-    point_indices(f, d, m)
-    _check_range("alpha", alpha, 0, d)
-    if s.is_zero:
-        factors: Sequence = _zero_pattern_factors(f, m)
-    else:
-        factors = _quadratic_factors(table, s, m)
+    factors = (_zero_pattern_factors(table.field, m) if s.is_zero
+               else _quadratic_factors(table, s, m))
     # e_j is an int for s = 0 and for the empty subset; adding zero makes
     # every e_j a Cyclotomic
-    return Cyclotomic.zero(f.p) + _elementary_symmetric(factors)[d - alpha]
+    return Cyclotomic.zero(table.field.p) + _elementary_symmetric(factors)[d - alpha]
 
 
 # ---------------------------------------------------------------------------
 # the sphere transform: A(m, t) + B(m)
 # ---------------------------------------------------------------------------
 
+@takes(table=TABLE, m=POINT, t=ELEMENT, k=K)
 def a_term(table: CharacterTable, m: Point, t: FieldElement, k: int) -> Cyclotomic:
     """A(m, t): the oscillatory part of the sphere transform (t != 0 only).
 
@@ -148,12 +123,9 @@ def a_term(table: CharacterTable, m: Point, t: FieldElement, k: int) -> Cyclotom
     factors, rotated by Tr(-s t).  No memo: every call starts from m's own
     coordinates.
     """
-    f = _table_field(table)
-    d, _ = point_dim_indices(f, m)
-    _check_field(f, t)
+    f, d = table.field, m.d
     if t.is_zero:
         raise ValueError("A(m, t) is defined only for t != 0")
-    check_k(k, d)
     acc = Cyclotomic.zero(f.p)
     trace, mul, neg = f._trace, f._mul, f._neg
     for si in range(1, f.q):
@@ -163,22 +135,20 @@ def a_term(table: CharacterTable, m: Point, t: FieldElement, k: int) -> Cyclotom
     return acc
 
 
+@takes(field=FIELD, m=POINT, alpha_lo=ALPHA, alpha_hi=ALPHA)
 def b_term_alpha_range(field: Field, m: Point, alpha_lo: int, alpha_hi: int) -> int:
     """sum over alpha in [alpha_lo, alpha_hi] of the s = 0 subset sums."""
-    d, _ = point_dim_indices(field, m)
-    for alpha in (alpha_lo, alpha_hi):
-        _check_range("alpha", alpha, 0, d)
     es = _elementary_symmetric(_zero_pattern_factors(field, m))
-    return sum(es[d - alpha] for alpha in range(alpha_lo, alpha_hi + 1))
+    return sum(es[m.d - alpha] for alpha in range(alpha_lo, alpha_hi + 1))
 
 
+@takes(field=FIELD, m=POINT, k=K)
 def b_term(field: Field, m: Point, k: int) -> int:
     """B(m): the combinatorial part of the sphere transform (an integer)."""
-    d, _ = point_dim_indices(field, m)
-    check_k(k, d)
     return b_term_alpha_range(field, m, 0, k - 1)
 
 
+@takes(table=TABLE, m=POINT, t=ELEMENT, k=K)
 def sphere_ft(table: CharacterTable, m: Point, t: FieldElement, k: int,
               mode: str = "closed") -> Cyclotomic:
     """Fourier coefficient of the indicator of the sphere {x : ||x||_k = t}
@@ -187,10 +157,7 @@ def sphere_ft(table: CharacterTable, m: Point, t: FieldElement, k: int,
     mode="brute" sums chi(-x.m) over the sphere; mode="closed" evaluates
     q^{-d-1} (A(m,t) + B(m)) and requires t != 0.
     """
-    f = _table_field(table)
-    d, mi = point_dim_indices(f, m)
-    check_k(k, d)
-    _check_field(f, t)
+    f, d, mi = table.field, m.d, m.idx
     if mode == "brute":
         dot, trace, neg = f.dot, f._trace, f._neg
         pts = sphere_points(f, d, k, t)

@@ -18,13 +18,24 @@ term, or as lookup passes over whole columns of indices at once.
 The defining modulus is chosen deterministically (smallest monic irreducible
 polynomial of degree s in base-p coefficient order) so that GF(9), GF(25),
 GF(27), ... are identical across runs and platforms.
+
+This module is also the one home of argument kinds.  Every public entry of
+the package declares the kind of each argument once, with the takes
+decorator (a field, an element, a point, a collection or a mapping of
+points, a dimension, an int, k in [1, d], alpha in [0, d], and a field's
+characteristic and degree); one checker per kind refuses a wrong argument
+with an ArgumentError that names it, before the entry's body or cache
+runs.  The kinds of a CharacterTable (TABLE), a PointSet (SET) and an
+ExperimentConfig (CONFIG) sit beside their classes, in the modules above
+this one.  DECLARED holds every declaration, for the tests to read.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
-import operator
-from functools import lru_cache
+from collections.abc import Collection, Mapping
+from functools import lru_cache, partial, wraps
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
@@ -112,6 +123,127 @@ def smallest_irreducible(p: int, s: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# argument kinds: the one place that decides what each argument must be
+# ---------------------------------------------------------------------------
+
+class ArgumentError(ValueError, TypeError):
+    """An argument of the wrong kind: a ValueError, as every refused input
+    is, and a TypeError, as Python's own refusal of a wrong type is."""
+
+
+DECLARED: dict = {}  # each declared entry -> its {argument name: kind}
+
+
+def takes(**kinds):
+    """Declare the kind of each named argument of a public entry.
+
+    A kind is a checker kind(value, name, field, d).  It raises
+    ArgumentError naming the argument, or returns None or the (field, d)
+    that the value fixes for the arguments after it: a field or a table
+    fixes the field, a dimension fixes d, a point set both, and so does a
+    point, whose own d (and field) serve while none is fixed.  The entry
+    checks its declared arguments in their order, before its body or any
+    cache runs; an argument left at its default is not checked.
+    """
+    def declare(fn):
+        params = inspect.signature(fn).parameters.values()
+        checks = [(i, p.name, kinds[p.name], p.default)
+                  for i, p in enumerate(params) if p.name in kinds]
+
+        @wraps(fn)
+        def entry(*args, **kwargs):
+            field = d = None
+            for i, name, kind, default in checks:
+                value = args[i] if i < len(args) else kwargs.get(name, default)
+                if value is not default:
+                    fixed = kind(value, name, field, d)
+                    if fixed:
+                        field, d = fixed
+            return fn(*args, **kwargs)
+
+        if hasattr(fn, "cache_info"):  # an lru_cache stays inspectable
+            entry.cache_info, entry.cache_clear = fn.cache_info, fn.cache_clear
+        DECLARED[entry] = kinds
+        return entry
+    return declare
+
+
+def FIELD(value, name, field, d):
+    """A Field; it fixes the field."""
+    if not isinstance(value, Field):
+        raise ArgumentError(f"{name} must be a Field, got {value!r}")
+    return value, d
+
+
+def ELEMENT(value, name, field, d):
+    """An element of the field fixed so far."""
+    if not isinstance(value, FieldElement):
+        raise ArgumentError(f"{value!r} is not an element of GF({field.q})")
+    if value.field is not field:
+        raise ArgumentError("elements belong to different fields")
+
+
+def POINT(value, name, field, d):
+    """A Point of GF(q)^d.  While d is not fixed, a point of GF(q)^e for
+    its own e, and while the field is not fixed, of any field; it fixes
+    both.  A non-Point is refused before anything of it is read."""
+    if not (isinstance(value, Point) and value.field is (field or value.field)
+            and len(value.idx) == (d or len(value.idx))):
+        space = f"GF({field.q})^{d or getattr(value, 'd', 'd')}" if field else "any GF(q)^d"
+        raise ArgumentError(f"{name}: {value!r} does not belong to {space}")
+    return value.field, len(value.idx)
+
+
+def POINTS(value, name, field, d, container=Collection):
+    """A collection (not a one-pass iterator) of Points of GF(q)^d, each
+    checked with one isinstance and two comparisons; with container=Mapping
+    (MAPPING), a mapping from them."""
+    if not isinstance(value, (dict, container)):  # dict first: an ABC is slower
+        raise ArgumentError(f"{name} must be a {container.__name__.lower()} of points, "
+                            f"got {value!r}")
+    for x in value:
+        if not (isinstance(x, Point) and x.field is field and len(x.idx) == d):
+            POINT(x, name, field, d)
+
+
+MAPPING = partial(POINTS, container=Mapping)
+
+
+def _int_kind(lo: Optional[int], label: Optional[str] = None):
+    """The kind of an int (not a bool), in [lo, d] unless lo is None; its
+    messages name label, or else the argument."""
+    def kind(value, name, field, d):
+        if type(value) is not int:
+            raise ArgumentError(f"{label or name} must be an int, got {value!r}")
+        if lo is not None and not lo <= value <= d:
+            raise ArgumentError(f"{label or name} must lie in [{lo}, {d}], got {value}")
+    return kind
+
+
+INT, K, ALPHA = _int_kind(None), _int_kind(1), _int_kind(0, "alpha")
+
+
+def DIM(value, name, field, d):
+    """A dimension, an int >= 1; it fixes d."""
+    if type(value) is not int or value < 1:
+        raise ArgumentError(f"dimension must be an int >= 1, got {value!r}")
+    return field, value
+
+
+def PRIME(value, name, field, d):
+    """A field's characteristic: an int, which Field tests for an odd prime
+    once its size is known to be in scope."""
+    if type(value) is not int:
+        raise ArgumentError(f"{name} must be an odd prime, got {value!r}")
+
+
+def DEGREE(value, name, field, d):
+    """A field's extension degree, an int >= 1."""
+    if type(value) is not int or value < 1:
+        raise ArgumentError(f"extension degree must be >= 1, got {value!r}")
+
+
+# ---------------------------------------------------------------------------
 # the field
 # ---------------------------------------------------------------------------
 
@@ -133,13 +265,12 @@ class FieldElement:
         return self.index == 0
 
     def _other(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise ValueError("elements belong to different fields")
-            return other
         if isinstance(other, int):
             return self.field.from_int(other)
-        raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
+        if not isinstance(other, FieldElement):
+            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
+        ELEMENT(other, "other", self.field, None)
+        return other
 
     def __add__(self, other):
         o = self._other(other)
@@ -154,9 +285,6 @@ class FieldElement:
         o = self._other(other)
         return self.field.elements[self.field._add[self.index][self.field._neg[o.index]]]
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         o = self._other(other)
         return self.field.elements[self.field._mul[self.index][o.index]]
@@ -168,12 +296,6 @@ class FieldElement:
         if inv is None:
             raise ZeroDivisionError("inverse of zero in GF(q)")
         return self.field.elements[inv]
-
-    def __truediv__(self, other):
-        return self * self._other(other).inverse()
-
-    def __pow__(self, n: int) -> "FieldElement":
-        return self.field.power(self, n)
 
     def trace(self) -> int:
         """Absolute trace, a residue in [0, p)."""
@@ -198,13 +320,12 @@ class FieldElement:
 class Field:
     """GF(p^s) for an odd prime p, with dense arithmetic tables."""
 
+    @takes(p=PRIME, s=DEGREE)
     def __init__(self, p: int, s: int) -> None:
-        if type(s) is not int or s < 1:  # not a bool: make_field's cache is typed
-            raise ValueError(f"extension degree must be >= 1, got {s!r}")
         # the size check comes first: a huge p would cost O(sqrt p) in the
         # primality test, and a huge s a huge int in p**s (2^s > _MAX_Q
         # once s exceeds its bit length)
-        if isinstance(p, int) and p >= 2 and (s > _MAX_Q.bit_length() or p**s > _MAX_Q):
+        if p >= 2 and (s > _MAX_Q.bit_length() or p**s > _MAX_Q):
             size = p if s == 1 else f"{p}^{s}"
             raise ValueError(f"field GF({size}) exceeds supported size {_MAX_Q}")
         check_odd_prime(p)
@@ -261,7 +382,7 @@ class Field:
             i = self.coeffs_to_index(cur)
             exp[e], log[i] = i, e
             cur = _poly_rem(_poly_mul(cur, g, p), self.modulus, p)
-        self._exp, self._log = exp, log
+        self._exp = exp
 
         logs = log[1:]
         exp2 = exp + exp
@@ -297,27 +418,18 @@ class Field:
                 return g
         raise RuntimeError(f"GF({q}) has no primitive element")
 
-    def _pow_index(self, i: int, n: int) -> int:
-        """Index of a^n for a of index i and n >= 0 (0^0 = 1)."""
-        if i == 0:
-            return 0 if n else 1
-        return self._exp[self._log[i] * n % (self.q - 1)]
-
     # -- public operations -------------------------------------------------
 
+    @takes(index=INT)
     def element(self, index: int) -> FieldElement:
         if not 0 <= index < self.q:
             raise ValueError(f"element index {index} outside [0, {self.q})")
         return self.elements[index]
 
+    @takes(n=INT)
     def from_int(self, n: int) -> FieldElement:
         """Embed an integer through the prime subfield."""
         return self.elements[n % self.p]
-
-    def power(self, a: FieldElement, n: int) -> FieldElement:
-        if n < 0:
-            return self.power(a.inverse(), -n)
-        return self.elements[self._pow_index(a.index, n)]
 
     def quad_char(self, a: FieldElement) -> int:
         """Quadratic character: +1 on nonzero squares, -1 on nonsquares, 0 at 0."""
@@ -339,12 +451,14 @@ class Field:
     __eq__ = object.__eq__
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: s = 2.0 must not hit s = 2
+@takes(p=PRIME, s=DEGREE)  # so only ints reach the cache
+@lru_cache(maxsize=None)
 def make_field(p: int, s: int = 1) -> Field:
     """Construct (and cache) GF(p^s) with the deterministic modulus."""
     return Field(p, s)
 
 
+@takes(q=INT)
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Split q = p^s with p an odd prime, or raise ValueError (also for q
     above the supported field size)."""
@@ -383,8 +497,7 @@ class Point:
         idx = []
         for c in coords:
             if isinstance(c, FieldElement):
-                if c.field is not field:
-                    raise ValueError("elements belong to different fields")
+                ELEMENT(c, "coordinate", field, None)
                 c = c.index
             elif type(c) is not int:
                 raise ValueError(f"coordinate {c!r} is neither an element of GF({field.q}) "
@@ -401,19 +514,13 @@ class Point:
     def d(self) -> int:
         return len(self.idx)
 
-    def _check(self, other: "Point") -> None:
-        if not isinstance(other, Point):
-            raise TypeError("expected a Point")
-        if other.field is not self.field or other.d != self.d:
-            raise ValueError("points live in different spaces")
-
     def __sub__(self, other: "Point") -> "Point":
-        self._check(other)
+        POINT(other, "other", self.field, len(self.idx))
         add, neg = self.field._add, self.field._neg
         return Point(self.field, (add[a][neg[b]] for a, b in zip(self.idx, other.idx)))
 
     def dot(self, other: "Point") -> FieldElement:
-        self._check(other)
+        POINT(other, "other", self.field, len(self.idx))
         return self.field.elements[self.field.dot(self.idx, other.idx)]
 
     def norm(self) -> FieldElement:
@@ -446,21 +553,7 @@ class Point:
         return f"Point{self.idx}"
 
 
-def point_indices(field: Field, d: int, pt) -> tuple[int, ...]:
-    """The index tuple of pt, once pt is checked to be a Point of GF(q)^d."""
-    if not isinstance(pt, Point) or pt.field is not field or pt.d != d:
-        raise ValueError(f"{pt!r} does not belong to GF({field.q})^{d}")
-    return pt.idx
-
-
-def point_dim_indices(field: Field, pt) -> tuple[int, tuple[int, ...]]:
-    """(d, the index tuple) of pt, once pt is checked to be a Point of
-    GF(q)^d for its own d; anything else is refused before its d is read."""
-    if not isinstance(pt, Point):
-        raise ValueError(f"{pt!r} does not belong to GF({field.q})^d")
-    return pt.d, point_indices(field, pt.d, pt)
-
-
+@takes(field=FIELD, d=INT, index=INT)
 def point_from_index(field: Field, d: int, index: int) -> Point:
     """The point whose coordinates are the d base-q digits of index, most
     significant first, for 0 <= index < q^d.
@@ -470,8 +563,13 @@ def point_from_index(field: Field, d: int, index: int) -> Point:
     and the digits are ints in range, so the point is built unchecked.
     """
     if d < 1:
-        raise ValueError("points must have dimension >= 1")
-    q, n, idx = field.q, operator.index(index), []
+        Point(field, ())  # refuses d < 1 as it refuses an empty point
+    return _point_at(field, d, index)
+
+
+def _point_at(field: Field, d: int, index: int) -> Point:
+    """point_from_index for a field and a d >= 1 that are checked already."""
+    q, n, idx = field.q, index, []
     for _ in range(d):
         n, r = divmod(n, q)
         idx.append(r)
@@ -508,6 +606,7 @@ def index_vectors(field: Field, d: int) -> Iterable[tuple[int, ...]]:
     return product(range(field.q), repeat=d)
 
 
+@takes(field=FIELD, d=DIM)
 def enumerate_vectors(field: Field, d: int) -> list[Point]:
     """All q^d points in lexicographic order.
 

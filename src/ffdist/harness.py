@@ -28,9 +28,10 @@ from .cyclotomic import Cyclotomic
 from .distance import (_distance_indices, bounds, distance_set, nu_direct_all,
                        nu_spectral, sharpness_example)
 from .fourier import PointSet, spectral_energy
-from .geometry import check_k, sphere_ft
-from .gf import (Field, Point, enumerate_vectors, factor_prime_power, make_field,
-                 point_from_index, space_size, within_cap)
+from .geometry import sphere_ft
+from .gf import (DIM, FIELD, INT, K, ArgumentError, Field, Point, _point_at,
+                 enumerate_vectors, factor_prime_power, make_field, space_size, takes,
+                 within_cap)
 
 CSV_COLUMNS = ("q", "p", "s", "d", "k", "t", "size", "trial", "metric", "value")
 
@@ -44,6 +45,7 @@ def substream_id(seed: int, trial: int, label: str = "sample") -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+@takes(field=FIELD, d=DIM, size=INT, seed=INT, trial=INT)
 def sample_set(field: Field, d: int, size: int, seed: int, trial: int) -> PointSet:
     """Uniform without-replacement sample of F_q^d, deterministic in (seed, trial)."""
     n = space_size(field.q, d)
@@ -51,7 +53,7 @@ def sample_set(field: Field, d: int, size: int, seed: int, trial: int) -> PointS
         raise ValueError(f"sample size {size} must lie in [0, {n}]")
     rng = random.Random(substream_id(seed, trial))
     indices = sorted(rng.sample(range(n), size))
-    return PointSet(field, d, [point_from_index(field, d, i) for i in indices])
+    return PointSet(field, d, [_point_at(field, d, i) for i in indices])
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        check_k(self.k, self.d)
+        K(self.k, "k", None, self.d)
         if self.C <= 0:
             raise ValueError(f"C must be > 0, got {self.C}")
 
@@ -93,6 +95,13 @@ class ExperimentConfig:
         return tuple(sorted(grid))
 
 
+def CONFIG(value, name, field, d):
+    """An ExperimentConfig."""
+    if not isinstance(value, ExperimentConfig):
+        raise ArgumentError(f"{name}: {value!r} is not an ExperimentConfig")
+
+
+@takes(field=FIELD, config=CONFIG)
 def threshold_sweep(field: Field, config: ExperimentConfig,
                     force_sharpness: bool = False) -> tuple[list[dict], list[dict]]:
     """Sample E at each grid size and record whether D_k(E) = F_q.

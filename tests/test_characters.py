@@ -279,7 +279,7 @@ _E = PointSet(_F5, 2, [_M, Point(_F5, (0, 1))])
         "gauss_identities-a", "gauss_identities-b", "a_term", "stratum_sum_brute",
         "lemma31_sum", "sphere_ft-closed", "sphere_ft-brute", "nu_spectral", "bounds"])
 def test_non_element_refused(call, bad):
-    # _check_field is the one test of an element argument; these used to
+    # the ELEMENT kind is the one test of an element argument; these used to
     # raise AttributeError on bad.field or bad.is_zero
     with pytest.raises(ValueError, match=rf"^{bad} is not an element of GF\(5\)$"):
         call()

@@ -539,7 +539,7 @@ class TestSpectralSummary:
         E = random_subset(f, d, 7, seed=q)
         energy = spectral_energy(E)
         for k in range(1, d + 1):
-            summary = distance._spectral_summary(E, f.one, k, table, energy)
+            summary = distance._spectral_summary(E, table, energy)
             for t in f.elements[1:]:
                 want = Cyclotomic.zero(f.p)
                 for m, e in energy.items():

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -50,6 +51,16 @@ class TestSampling:
         with pytest.raises(ValueError, match=r"^sample size -1 must lie in \[0, 25\]$"):
             sample_set(f, 2, -1, 0, 0)
         assert len(sample_set(f, 2, 0, 0, 0)) == 0
+
+    @pytest.mark.parametrize("bad", [2.0, None, True, "2"])
+    @pytest.mark.parametrize("name", ["seed", "trial"])
+    def test_non_int_seed_or_trial_refused(self, name, bad):
+        # seed and trial were read through an f-string, so seed 2.0 drew
+        # another sample than seed 2, and seed None drew one too
+        args = {"seed": 2, "trial": 0, name: bad}
+        message = rf"^{name} must be an int, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            sample_set(make_field(5), 2, 3, **args)
 
 
 class TestConfig:
